@@ -1,5 +1,6 @@
 """Equation generation, propagation, elimination, branching, verdicts."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from sqadd.engine import (
     EngineBudget,
     Equation,
     IncompleteTableError,
+    Underdetermined,
     eliminate,
     generate_equations,
     propagate,
@@ -265,6 +267,32 @@ class TestRunUniqueness:
         a = run_uniqueness(3, 40)
         b = run_uniqueness(3, 40)
         assert a.trace.serialize() == b.trace.serialize()
+
+    # sha256 of the serialized trace; pins the step order of the branch
+    # search.  (7, 42) splits four times and matches bench/baseline.json.
+    @pytest.mark.parametrize(
+        "k, bound, digest",
+        [
+            (3, 60, "ec76c7ff01e786bf78d710a189e5c2ca6808d296da670398d5d179f2e245a1c1"),
+            (6, 60, "fb6d4942b734d50de64d0e6ba58cdf79595abadd11562762c8028c2bf0b63308"),
+            (7, 42, "fcf91932b40118ad2785dcb9de5b2133c61994ffd3e084939f258ecd8e6d67c7"),
+        ],
+    )
+    def test_trace_golden_digest(self, k, bound, digest):
+        verdict = run_uniqueness(k, bound)
+        text = verdict.trace.serialize()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        if k == 7:
+            assert verdict.outcome == Underdetermined(
+                free_sites=(2, 4, 5, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41),
+                witness_count=2,
+                forced_prefix=1,
+                first_free=2,
+                note="eliminant without rational roots; non-rational branches not explored",
+            )
+            assert sum(step.rule == "split" for step in verdict.trace.steps) == 4
+        else:
+            assert verdict.kind == "forced"
 
     def test_threads_do_not_change_the_trace(self):
         a = run_uniqueness(6, 60, threads=1)
