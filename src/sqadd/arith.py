@@ -33,9 +33,6 @@ class Factorization:
             n *= p**e
         return n
 
-    def sites(self) -> tuple[int, ...]:
-        return tuple(p**e for p, e in self.pairs)
-
 
 # Trial division with a 2,3,5 wheel; arguments stay small (<= ~10^7).
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
@@ -145,9 +142,6 @@ class PartialFunction:
     def symbol_for(self, site: int) -> Optional[Symbol]:
         entry = self._entries.get(site)
         return entry if isinstance(entry, Symbol) else None
-
-    def tracked_sites(self) -> list[int]:
-        return sorted(self._entries)
 
     def assigned_table(self, limit: Optional[int] = None) -> dict[int, Fraction]:
         return {

@@ -19,13 +19,14 @@ from pathlib import Path
 from typing import Optional
 
 from . import engine
-from .cache import CacheFile, sieve_with_cache
+from .cache import sieve_with_cache
 from .engine import (
     BudgetExhausted,
     EngineBudget,
     Forced,
     IncompleteTableError,
     Underdetermined,
+    parse_rational,
     run_uniqueness,
     search_nonidentity,
     verify_assignment,
@@ -61,14 +62,12 @@ class RunConfig:
     cache_dir: Optional[Path] = None
     out: Optional[Path] = None
     force: bool = False
-    threads: int = 1
     max_steps: int = 1_000_000
     max_branches: int = 256
     site_bound: int = 20
     cap: Optional[int] = None
     table_path: Optional[Path] = None
     hurwitz: bool = False
-    deterministic: bool = True
 
     def validate(self) -> None:
         if self.fmt not in ("json", "csv", "text"):
@@ -77,8 +76,6 @@ class RunConfig:
             raise UsageError("k must be positive")
         if self.bound is not None and self.bound < 1:
             raise UsageError("N must be positive")
-        if self.threads < 1:
-            raise UsageError("threads must be >= 1")
         if self.max_steps < 1 or self.max_branches < 1:
             raise UsageError("budgets must be positive")
         if self.subcommand == "deduce" and self.k is not None and self.k < 2:
@@ -95,21 +92,6 @@ class RunConfig:
         return EngineBudget(max_steps=self.max_steps, max_branches=self.max_branches)
 
 
-def cache_roundtrip(config: RunConfig) -> CacheFile:
-    """Build or load the expressibility sieve for a configured run.
-
-    Loaded tables are identical in effect to freshly built ones; corrupt or
-    mismatched files are rebuilt, never misread.  Without a cache directory
-    the table is built in memory and described without being saved.
-    """
-    _, cached = sieve_with_cache(config.k, config.bound, config.cache_dir)
-    return cached
-
-
-def _fmt_value(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def _parse_site(text: str) -> int:
     if "^" in text:
         p, e = text.split("^")
@@ -117,19 +99,12 @@ def _parse_site(text: str) -> int:
     return int(text)
 
 
-def _parse_rational(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
 def _table_json(table: dict[int, Fraction]) -> dict[str, str]:
-    return {str(site): _fmt_value(value) for site, value in sorted(table.items())}
+    return {str(site): str(value) for site, value in sorted(table.items())}
 
 
 # --------------------------------------------------------------------------
@@ -204,9 +179,7 @@ def _cmd_deduce(config: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    verdict = run_uniqueness(
-        config.k, config.bound, config.budget(), threads=config.threads
-    )
+    verdict = run_uniqueness(config.k, config.bound, config.budget())
     trace_path.write_text(verdict.trace.serialize())
 
     lines: list[str] = []
@@ -215,7 +188,7 @@ def _cmd_deduce(config: RunConfig) -> int:
         payload["table"] = _table_json(verdict.outcome.table)
         lines.append("verdict: forced")
         for site, value in sorted(verdict.outcome.table.items()):
-            lines.append(f"f({site}) = {_fmt_value(value)}")
+            lines.append(f"f({site}) = {value}")
     elif isinstance(verdict.outcome, Underdetermined):
         out = verdict.outcome
         payload.update(
@@ -245,8 +218,7 @@ def _cmd_deduce(config: RunConfig) -> int:
     elif config.fmt == "csv":
         if isinstance(verdict.outcome, Forced):
             rendered = "\n".join(
-                f"{site},{_fmt_value(value)}"
-                for site, value in sorted(verdict.outcome.table.items())
+                f"{site},{value}" for site, value in sorted(verdict.outcome.table.items())
             )
         else:
             rendered = f"verdict,{verdict.kind}"
@@ -266,7 +238,7 @@ def _load_table(path: Path) -> dict[int, Fraction]:
         raise UsageError(f"cannot read table {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("table file must be a JSON object of site: value")
-    return {_parse_site(site): _parse_rational(value) for site, value in raw.items()}
+    return {_parse_site(site): parse_rational(value) for site, value in raw.items()}
 
 
 def _cmd_verify(config: RunConfig) -> int:
@@ -315,11 +287,11 @@ def _cmd_search2(config: RunConfig) -> int:
         )
     elif config.fmt == "csv":
         for site, value in sorted(table.items()):
-            _emit(f"{site},{_fmt_value(value)}")
+            _emit(f"{site},{value}")
     else:
         _emit("witness found; non-identity sites:")
         for site, value in sorted(deviations.items()):
-            _emit(f"f({site}) = {_fmt_value(value)}")
+            _emit(f"f({site}) = {value}")
     return EXIT_OK
 
 
@@ -355,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ded.add_argument("N", type=int)
     p_ded.add_argument("--out", type=Path, default=None)
     p_ded.add_argument("--force", action="store_true")
-    p_ded.add_argument("--threads", type=int, default=1)
     p_ded.add_argument("--max-steps", type=int, default=1_000_000)
     p_ded.add_argument("--max-branches", type=int, default=256)
     common(p_ded)
@@ -388,7 +359,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cache_dir=cache_dir,
         out=getattr(args, "out", None),
         force=getattr(args, "force", False),
-        threads=getattr(args, "threads", 1),
         max_steps=getattr(args, "max_steps", 1_000_000),
         max_branches=getattr(args, "max_branches", 256),
         site_bound=getattr(args, "site_bound", 20),

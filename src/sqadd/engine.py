@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -34,6 +33,11 @@ REPRESENTATION_CAP = 64
 ELIMINANT_MAX_DEGREE = 4
 ELIMINANT_MAX_SUBSTITUTIONS = 6
 
+# Coprime-multiple derivation: multipliers m tried per prime power, and how
+# many blocking sites deep it recurses.
+DERIVE_MULTIPLIER_BOUND = 48
+DERIVE_DEPTH = 3
+
 ACTIVE = "active"
 CONTRADICTION = "contradiction"
 SATURATED = "saturated"
@@ -52,15 +56,6 @@ class Additivity:
 
 
 @dataclass(frozen=True)
-class CrossRepresentation:
-    """Part sums of two representations of the same n equated."""
-
-    n: int
-    parts_a: tuple[int, ...]
-    parts_b: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Multiplicativity:
     """Coprime-split deduction f(n) = f(u) f(v) applied past the bound."""
 
@@ -76,19 +71,12 @@ class Derived:
     step: int
 
 
-Provenance = Union[Additivity, CrossRepresentation, Multiplicativity, Derived]
+Provenance = Union[Additivity, Multiplicativity, Derived]
 
 
 def provenance_fields(prov: Provenance) -> dict:
     if isinstance(prov, Additivity):
         return {"kind": "additivity", "n": prov.n, "parts": list(prov.parts)}
-    if isinstance(prov, CrossRepresentation):
-        return {
-            "kind": "cross",
-            "n": prov.n,
-            "parts_a": list(prov.parts_a),
-            "parts_b": list(prov.parts_b),
-        }
     if isinstance(prov, Multiplicativity):
         return {
             "kind": "multiplicativity",
@@ -115,8 +103,6 @@ class Equation:
 class EngineBudget:
     max_steps: int = 1_000_000
     max_branches: int = 256
-    multiplier_bound: int = 48
-    derive_depth: int = 3
 
 
 class BudgetExhausted(RuntimeError):
@@ -126,10 +112,6 @@ class BudgetExhausted(RuntimeError):
         super().__init__(f"budget exhausted: {what} after {spent} steps")
         self.what = what
         self.spent = spent
-
-
-def _fmt_value(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 @dataclass
@@ -173,15 +155,19 @@ class DeductionTrace:
                 site = step.output.get("site")
                 value = step.output.get("value")
                 if site is not None:
-                    tables[step.branch][int(site)] = _parse_value(value)
+                    tables[step.branch][int(site)] = parse_rational(value)
         return tables
 
 
-def _parse_value(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+def parse_rational(text: str) -> Fraction:
+    """Read "n" or "n/d", the form str(Fraction) writes; ValueError otherwise."""
+    if not isinstance(text, str):
+        raise ValueError(f"rational must be a string such as '3' or '1/2', got {text!r}")
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class _Counter:
@@ -217,6 +203,16 @@ class BranchState:
     def record(self, rule: str, inputs: dict, output: dict) -> None:
         self.log.append(TraceStep(0, self.path, rule, inputs, output))
 
+    def contradict(self, eq: Equation) -> None:
+        """Mark the branch inconsistent: eq folded to a nonzero constant."""
+        self.status = CONTRADICTION
+        self.contradiction = eq
+        self.record(
+            "contradiction",
+            provenance_fields(eq.provenance),
+            {"residue": str(eq.poly.constant_value())},
+        )
+
     def fork(self, root_index: int, symbol: Symbol, value: Fraction) -> "BranchState":
         child = BranchState(
             pf=self.pf.copy(),
@@ -229,7 +225,7 @@ class BranchState:
         child.record(
             "branch",
             {"symbol": repr(symbol), "root_index": root_index},
-            {"site": symbol.site, "value": _fmt_value(value)},
+            {"site": symbol.site, "value": str(value)},
         )
         return child
 
@@ -307,15 +303,6 @@ def propagate(
     dirty: deque[int] = deque(i for i, eq in enumerate(pending) if eq is not None)
     in_dirty = set(dirty)
 
-    def contradict(eq: Equation) -> None:
-        state.status = CONTRADICTION
-        state.contradiction = eq
-        state.record(
-            "contradiction",
-            provenance_fields(eq.provenance),
-            {"residue": _fmt_value(eq.poly.constant_value())},
-        )
-
     def apply_assignment(site: int, value: Fraction, rule: str, inputs: dict) -> bool:
         """Record f(site) = value; False when it contradicts the branch."""
         current = state.pf.known(site)
@@ -325,10 +312,10 @@ def propagate(
             residual = Equation(
                 Poly.const(current - value), Derived(len(state.log))
             )
-            contradict(residual)
+            state.contradict(residual)
             return False
         state.pf.assign(site, value)
-        state.record(rule, inputs, {"site": site, "value": _fmt_value(value)})
+        state.record(rule, inputs, {"site": site, "value": str(value)})
         for i in site_index.pop(site, set()):
             if i not in in_dirty and pending[i] is not None:
                 dirty.append(i)
@@ -352,7 +339,7 @@ def propagate(
                 pending[i] = None
                 continue
             if folded.is_constant():
-                contradict(eq)
+                state.contradict(eq)
                 return state
             solved = folded.linear_solve()
             if solved is not None:
@@ -394,12 +381,14 @@ def _derive_pass(
     f(2*4^m) when 2*4^m has no representation and its small multiples are
     out of range).  For those, an additivity instance at a coprime multiple
     m * p^e with f(m) known divides through to the missing value, exactly
-    the coprime-multiple argument the inductive proofs use.
+    the coprime-multiple argument the inductive proofs use.  The signature
+    matches the other stages (state, budget, counter); the step budget is
+    enforced through the counter.
     """
     for site in state.pf.unassigned_sites(limit=state.bound):
         outcome = _attempt_derive(
-            state, site, budget, counter, apply_assignment,
-            depth=budget.derive_depth, visited={site},
+            state, site, counter, apply_assignment,
+            depth=DERIVE_DEPTH, visited={site},
         )
         if state.status == CONTRADICTION:
             return True
@@ -411,7 +400,6 @@ def _derive_pass(
 def _attempt_derive(
     state: BranchState,
     site: int,
-    budget: EngineBudget,
     counter: _Counter,
     apply_assignment: Callable[[int, Fraction, str, dict], bool],
     depth: int,
@@ -430,7 +418,7 @@ def _attempt_derive(
     def scan() -> Optional[tuple[Fraction, Equation, dict]]:
         for e2 in range(e, max(e - 2, 1) - 1, -1):
             base = p**e2
-            for m in range(1, budget.multiplier_bound + 1):
+            for m in range(1, DERIVE_MULTIPLIER_BOUND + 1):
                 if gcd(m, p) != 1:
                     continue
                 n2 = m * base
@@ -464,14 +452,7 @@ def _attempt_derive(
                     if poly.is_constant():
                         # A valid instance folded to a nonzero constant:
                         # the branch is inconsistent.
-                        state.status = CONTRADICTION
-                        eq = Equation(poly, prov)
-                        state.contradiction = eq
-                        state.record(
-                            "contradiction",
-                            provenance_fields(prov),
-                            {"residue": _fmt_value(poly.constant_value())},
-                        )
+                        state.contradict(Equation(poly, prov))
                         return None
                     solved = poly.linear_solve()
                     if solved is None or solved[0].site != site:
@@ -491,8 +472,7 @@ def _attempt_derive(
                 continue
             visited.add(blocked_site)
             if _attempt_derive(
-                state, blocked_site, budget, counter, apply_assignment,
-                depth - 1, visited,
+                state, blocked_site, counter, apply_assignment, depth - 1, visited
             ):
                 if state.status == CONTRADICTION:
                     return True
@@ -730,38 +710,41 @@ class Verdict:
         return "all_branches_contradict"
 
 
-@dataclass
-class _BranchNode:
-    state: BranchState
-    children: list["_BranchNode"] = field(default_factory=list)
-
-
 def _explore(
     k: int,
     bound: int,
     budget: EngineBudget,
-    threads: int = 1,
 ) -> tuple[list[BranchState], list[BranchState], DeductionTrace]:
-    """Branch-and-prune search; returns survivors, pruned, merged trace."""
+    """Branch-and-prune search; returns survivors, pruned, merged trace.
+
+    Depth first: a branch's log joins the trace before its children's, so
+    the trace lists branches in pre-order.
+    """
     pf = PartialFunction()
     for site in prime_powers_upto(bound):
         pf.ensure_site(site)
     equations = generate_equations(k, bound, pf)
     root = BranchState(pf=pf, pending=list(equations), k=k, bound=bound)
     counter = _Counter(budget.max_steps)
-    branch_total = [1]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    branch_total = 1
+    survivors: list[BranchState] = []
+    pruned: list[BranchState] = []
+    steps: list[TraceStep] = []
 
-    def explore(branch: BranchState, parallel_depth: int) -> _BranchNode:
-        node = _BranchNode(branch)
+    def leaf(branch: BranchState) -> None:
+        steps.extend(branch.log)
+        (pruned if branch.status == CONTRADICTION else survivors).append(branch)
+
+    def explore(branch: BranchState) -> None:
+        nonlocal branch_total
         propagate(branch, budget, counter)
         if branch.status == CONTRADICTION:
-            return node
+            return leaf(branch)
         found = eliminate(branch, budget, counter)
         if found is None:
             branch.status = SATURATED
             branch.record("saturated", {}, {"free": branch.pf.unassigned_sites(bound)})
-            return node
+            return leaf(branch)
         symbol, eliminant = found
         roots = rational_roots(eliminant)
         if not roots:
@@ -772,48 +755,23 @@ def _explore(
                 {"eliminant": str(eliminant), "symbol": repr(symbol)},
                 {"note": branch.note},
             )
-            return node
+            return leaf(branch)
         branch.record(
             "split",
             {"eliminant": str(eliminant), "symbol": repr(symbol), "site": symbol.site},
-            {"roots": [_fmt_value(r) for r in roots]},
+            {"roots": [str(r) for r in roots]},
         )
         children = []
         for idx, r in enumerate(roots):
-            branch_total[0] += 1
-            if branch_total[0] > budget.max_branches:
-                raise BudgetExhausted("branches", branch_total[0])
+            branch_total += 1
+            if branch_total > budget.max_branches:
+                raise BudgetExhausted("branches", branch_total)
             children.append(branch.fork(idx, symbol, r))
-        if pool is not None and parallel_depth > 0:
-            futures = [
-                pool.submit(explore, child, parallel_depth - 1) for child in children
-            ]
-            node.children = [f.result() for f in futures]
-        else:
-            node.children = [explore(child, parallel_depth) for child in children]
-        return node
+        steps.extend(branch.log)
+        for child in children:
+            explore(child)
 
-    try:
-        tree = explore(root, parallel_depth=1 if pool else 0)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    survivors: list[BranchState] = []
-    pruned: list[BranchState] = []
-    steps: list[TraceStep] = []
-
-    def collect(node: _BranchNode) -> None:
-        steps.extend(node.state.log)
-        if node.children:
-            for child in node.children:
-                collect(child)
-        elif node.state.status == CONTRADICTION:
-            pruned.append(node.state)
-        else:
-            survivors.append(node.state)
-
-    collect(tree)
+    explore(root)
     for i, step in enumerate(steps):
         step.index = i
     return survivors, pruned, DeductionTrace(steps)
@@ -833,7 +791,6 @@ def run_uniqueness(
     k: int,
     bound: int = 500,
     budget: Optional[EngineBudget] = None,
-    threads: int = 1,
 ) -> Verdict:
     """Decide whether k-additivity on squares forces the identity up to bound.
 
@@ -848,7 +805,7 @@ def run_uniqueness(
     if bound < k:
         raise ValueError(f"bound must be >= k, got {bound}")
     budget = budget or EngineBudget()
-    survivors, _, trace = _explore(k, bound, budget, threads)
+    survivors, _, trace = _explore(k, bound, budget)
     if not survivors:
         return Verdict(AllBranchesContradict(), trace)
     prefix, first_free = _identity_prefix(survivors, bound)
@@ -952,7 +909,7 @@ def search_nonidentity(
     first passing table that differs from the identity, or None.
     """
     budget = budget or EngineBudget()
-    survivors, _, _ = _explore(k, bound, budget, threads=1)
+    survivors, _, _ = _explore(k, bound, budget)
     attempts = 0
     for branch in survivors:
         base = {site: Fraction(site) for site in prime_powers_upto(bound)}

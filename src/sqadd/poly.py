@@ -65,10 +65,6 @@ class Poly:
     def const(cls, value: Scalar) -> "Poly":
         return cls({(): Fraction(value)})
 
-    @classmethod
-    def var(cls, symbol: Symbol) -> "Poly":
-        return cls({(symbol,): Fraction(1)})
-
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -318,7 +314,3 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-ZERO = Poly()
-ONE = Poly.const(1)

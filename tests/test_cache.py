@@ -25,17 +25,14 @@ def test_round_trip_identical_effect(tmp_path):
 
 
 def test_config_level_roundtrip(tmp_path):
-    from sqadd.cli import RunConfig, cache_roundtrip
-
-    config = RunConfig(subcommand="exceptions", k=5, bound=800, cache_dir=tmp_path)
-    built = cache_roundtrip(config)
-    reloaded = cache_roundtrip(config)
+    _, built = sieve_with_cache(5, 800, tmp_path)
+    _, reloaded = sieve_with_cache(5, 800, tmp_path)
     assert not built.loaded_from_disk
     assert reloaded.loaded_from_disk
     assert built.levels == reloaded.levels
     assert built.checksum == reloaded.checksum
     # without a cache directory the description matches but nothing is saved
-    memory_only = cache_roundtrip(RunConfig(subcommand="exceptions", k=5, bound=800))
+    _, memory_only = sieve_with_cache(5, 800, None)
     assert memory_only.levels == built.levels
     assert memory_only.checksum == built.checksum
 

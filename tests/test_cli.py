@@ -199,6 +199,15 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "missing" in err
 
+    @pytest.mark.parametrize("value", [2, "1/0", None, [1]])
+    def test_malformed_value_is_a_usage_error(self, capsys, tmp_path, value):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"2": value}))
+        code, _, err = invoke(["verify", "3", "10", "--table", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
+
 
 class TestSearch2:
     def test_witness_round_trips_through_verify(self, capsys, tmp_path):

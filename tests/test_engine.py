@@ -294,11 +294,6 @@ class TestRunUniqueness:
         else:
             assert verdict.kind == "forced"
 
-    def test_threads_do_not_change_the_trace(self):
-        a = run_uniqueness(6, 60, threads=1)
-        b = run_uniqueness(6, 60, threads=3)
-        assert a.trace.serialize() == b.trace.serialize()
-
     def test_trace_replay_reproduces_assignments(self):
         verdict = run_uniqueness(3, 60)
         tables = verdict.trace.assignments()
