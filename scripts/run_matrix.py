@@ -13,6 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sqadd.cli import _int_at_least
 from sqadd.engine import Underdetermined, run_uniqueness
 from sqadd.squares import (
     dubouis_reference_set,
@@ -22,15 +23,25 @@ from sqadd.squares import (
 )
 
 
+DEDUCE_KS = range(2, 7)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="small bounds")
-    parser.add_argument("--deduce-bound", type=int, default=None)
+    parser.add_argument(
+        "--deduce-bound",
+        type=_int_at_least(max(DEDUCE_KS)),
+        default=None,
+        help="bound of the deductions; at least the largest k deduced",
+    )
     args = parser.parse_args()
 
     exc_bound = 1_000 if args.quick else 10_000
     square_bound = 10_000 if args.quick else 1_000_000
-    deduce_bound = args.deduce_bound or (60 if args.quick else 200)
+    deduce_bound = args.deduce_bound
+    if deduce_bound is None:
+        deduce_bound = 60 if args.quick else 200
 
     failures = 0
 
@@ -53,7 +64,7 @@ def main() -> int:
         f"{'PASS' if ok else 'FAIL'} ({len(squares)} members, {time.time()-start:.2f}s)"
     )
 
-    for k in range(2, 7):
+    for k in DEDUCE_KS:
         start = time.time()
         verdict = run_uniqueness(k, deduce_bound)
         elapsed = time.time() - start

@@ -107,7 +107,11 @@ def sieve_with_cache(
     if cached is not None:
         return list(cached.levels), cached
     levels = expressibility_sieve(k, bound)
-    return levels, save_sieve(path, k, bound, levels)
+    try:
+        return levels, save_sieve(path, k, bound, levels)
+    except OSError as exc:
+        _warn(f"cannot write cache {path}: {exc}")
+        return levels, describe_sieve(k, bound, levels)
 
 
 def _warn(message: str) -> None:

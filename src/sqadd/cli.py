@@ -13,10 +13,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from . import engine
 from .cache import sieve_with_cache
@@ -51,45 +49,19 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation; determinism is unconditional (nothing is seeded)."""
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
 
-    subcommand: str
-    k: Optional[int] = None
-    bound: Optional[int] = None
-    fmt: str = "text"
-    cache_dir: Optional[Path] = None
-    out: Optional[Path] = None
-    force: bool = False
-    max_steps: int = 1_000_000
-    max_branches: int = 256
-    site_bound: int = 20
-    cap: Optional[int] = None
-    table_path: Optional[Path] = None
-    hurwitz: bool = False
+    def at_least(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-    def validate(self) -> None:
-        if self.fmt not in ("json", "csv", "text"):
-            raise UsageError(f"unknown format {self.fmt!r}")
-        if self.k is not None and self.k < 1:
-            raise UsageError("k must be positive")
-        if self.bound is not None and self.bound < 1:
-            raise UsageError("N must be positive")
-        if self.max_steps < 1 or self.max_branches < 1:
-            raise UsageError("budgets must be positive")
-        if self.subcommand == "deduce" and self.k is not None and self.k < 2:
-            raise UsageError("deduce requires k >= 2")
-        if self.subcommand == "exceptions":
-            if self.hurwitz and self.k != 3:
-                raise UsageError("--hurwitz applies to k = 3 only")
-            if self.k is not None and self.k < 3:
-                raise UsageError("exceptions requires k >= 3")
-        if self.subcommand == "verify" and self.table_path is None:
-            raise UsageError("verify requires --table FILE")
-
-    def budget(self) -> EngineBudget:
-        return EngineBudget(max_steps=self.max_steps, max_branches=self.max_branches)
+    return at_least
 
 
 def _parse_site(text: str) -> int:
@@ -111,21 +83,21 @@ def _table_json(table: dict[int, Fraction]) -> dict[str, str]:
 # Subcommands
 
 
-def _cmd_repr(config: RunConfig) -> int:
-    reps = enumerate_representations(config.bound, config.k, config.cap)
-    if config.fmt == "json":
+def _cmd_repr(args: argparse.Namespace) -> int:
+    reps = enumerate_representations(args.n, args.k, args.cap)
+    if args.fmt == "json":
         _emit(
             json.dumps(
                 {
-                    "n": config.bound,
-                    "k": config.k,
+                    "n": args.n,
+                    "k": args.k,
                     "count": len(reps),
                     "representations": [list(r.parts) for r in reps],
                 },
                 separators=(",", ":"),
             )
         )
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         for r in reps:
             _emit(",".join(str(a) for a in r.parts))
     else:
@@ -134,17 +106,19 @@ def _cmd_repr(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_exceptions(config: RunConfig) -> int:
-    k, bound = config.k, config.bound
-    if config.hurwitz:
+def _cmd_exceptions(args: argparse.Namespace) -> int:
+    k, bound = args.k, args.N
+    if args.hurwitz and k != 3:
+        raise UsageError("--hurwitz applies to k = 3 only")
+    if args.hurwitz:
         members = hurwitz_exceptions(bound)
         reference = hurwitz_reference_set(bound)
     else:
-        sieve, _ = sieve_with_cache(k, bound, config.cache_dir)
+        sieve, _ = sieve_with_cache(k, bound, args.cache_dir)
         members = list(exceptional_set(k, bound, sieve).members)
         reference = dubouis_reference_set(k, bound) if k >= 4 else None
     match = reference is None or members == reference
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "k": k,
             "N": bound,
@@ -153,7 +127,7 @@ def _cmd_exceptions(config: RunConfig) -> int:
             "match": match,
         }
         _emit(json.dumps(payload, separators=(",", ":")))
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         for n in members:
             _emit(str(n))
         if reference is not None:
@@ -165,25 +139,33 @@ def _cmd_exceptions(config: RunConfig) -> int:
     return EXIT_OK if match else EXIT_FAIL
 
 
-def _trace_destination(config: RunConfig) -> Path:
-    if config.out is not None:
-        return Path(str(config.out) + ".trace")
-    return Path(f"deduce-{config.k}-{config.bound}.trace")
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _cmd_deduce(config: RunConfig) -> int:
-    trace_path = _trace_destination(config)
-    if trace_path.exists() and not config.force:
+def _trace_destination(args: argparse.Namespace) -> Path:
+    if args.out is not None:
+        return Path(str(args.out) + ".trace")
+    return Path(f"deduce-{args.k}-{args.N}.trace")
+
+
+def _cmd_deduce(args: argparse.Namespace) -> int:
+    trace_path = _trace_destination(args)
+    if trace_path.exists() and not args.force:
         print(
             f"error: {trace_path} exists; pass --force to overwrite",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    verdict = run_uniqueness(config.k, config.bound, config.budget())
-    trace_path.write_text(verdict.trace.serialize())
+    budget = EngineBudget(args.max_steps, args.max_branches)
+    verdict = run_uniqueness(args.k, args.N, budget)
+    _write(trace_path, verdict.trace.serialize())
 
     lines: list[str] = []
-    payload: dict = {"verdict": verdict.kind, "k": config.k, "N": config.bound}
+    payload: dict = {"verdict": verdict.kind, "k": args.k, "N": args.N}
     if isinstance(verdict.outcome, Forced):
         payload["table"] = _table_json(verdict.outcome.table)
         lines.append("verdict: forced")
@@ -213,9 +195,9 @@ def _cmd_deduce(config: RunConfig) -> int:
     payload["trace_file"] = str(trace_path)
     lines.append(f"trace written to {trace_path}")
 
-    if config.fmt == "json":
+    if args.fmt == "json":
         rendered = json.dumps(payload, separators=(",", ":"))
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         if isinstance(verdict.outcome, Forced):
             rendered = "\n".join(
                 f"{site},{value}" for site, value in sorted(verdict.outcome.table.items())
@@ -224,8 +206,8 @@ def _cmd_deduce(config: RunConfig) -> int:
             rendered = f"verdict,{verdict.kind}"
     else:
         rendered = "\n".join(lines)
-    if config.out is not None:
-        config.out.write_text(rendered + "\n")
+    if args.out is not None:
+        _write(args.out, rendered + "\n")
     else:
         _emit(rendered)
     return EXIT_OK
@@ -241,14 +223,14 @@ def _load_table(path: Path) -> dict[int, Fraction]:
     return {_parse_site(site): parse_rational(value) for site, value in raw.items()}
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    table = _load_table(config.table_path)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    table = _load_table(args.table)
     try:
-        report = verify_assignment(table, config.k, config.bound)
+        report = verify_assignment(table, args.k, args.N)
     except IncompleteTableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload: dict = {"ok": report.ok, "checked": report.checked}
         if report.first_violation is not None:
             payload["violation"] = engine.provenance_fields(
@@ -264,18 +246,17 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _cmd_search2(config: RunConfig) -> int:
-    table = search_nonidentity(
-        2, config.bound, config.site_bound, config.budget()
-    )
+def _cmd_search2(args: argparse.Namespace) -> int:
+    budget = EngineBudget(args.max_steps, args.max_branches)
+    table = search_nonidentity(2, args.N, args.site_bound, budget)
     if table is None:
-        if config.fmt == "json":
+        if args.fmt == "json":
             _emit(json.dumps({"witness": None}, separators=(",", ":")))
         else:
             _emit("no witness found")
         return EXIT_FAIL
     deviations = {s: v for s, v in table.items() if v != s}
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit(
             json.dumps(
                 {
@@ -285,7 +266,7 @@ def _cmd_search2(config: RunConfig) -> int:
                 separators=(",", ":"),
             )
         )
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         for site, value in sorted(table.items()):
             _emit(f"{site},{value}")
     else:
@@ -305,76 +286,54 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verify and explore additivity of multiplicative functions on sums of k positive squares",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    positive = _int_at_least(1)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", default="text", dest="fmt")
+    def common(p: argparse.ArgumentParser, handler) -> None:
+        p.add_argument(
+            "--format", default="text", dest="fmt", choices=("json", "csv", "text")
+        )
+        p.set_defaults(handler=handler)
+
+    def budget_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--max-steps", type=positive, default=1_000_000)
+        p.add_argument("--max-branches", type=positive, default=256)
 
     p_repr = sub.add_parser("repr", help="list representations of n into k positive squares")
-    p_repr.add_argument("n", type=int)
-    p_repr.add_argument("k", type=int)
-    p_repr.add_argument("--cap", type=int, default=None)
-    common(p_repr)
+    p_repr.add_argument("n", type=positive)
+    p_repr.add_argument("k", type=positive)
+    p_repr.add_argument("--cap", type=positive, default=None)
+    common(p_repr, _cmd_repr)
 
     p_exc = sub.add_parser("exceptions", help="exceptional set vs the closed-form reference")
-    p_exc.add_argument("k", type=int)
-    p_exc.add_argument("N", type=int)
+    p_exc.add_argument("k", type=_int_at_least(3))
+    p_exc.add_argument("N", type=positive)
     p_exc.add_argument("--hurwitz", action="store_true")
-    p_exc.add_argument("--cache-dir", type=Path, default=None)
-    common(p_exc)
+    p_exc.add_argument(
+        "--cache-dir", type=Path, default=os.environ.get(CACHE_ENV) or None
+    )
+    common(p_exc, _cmd_exceptions)
 
     p_ded = sub.add_parser("deduce", help="run the uniqueness deduction")
-    p_ded.add_argument("k", type=int)
-    p_ded.add_argument("N", type=int)
+    p_ded.add_argument("k", type=_int_at_least(2))
+    p_ded.add_argument("N", type=positive)
     p_ded.add_argument("--out", type=Path, default=None)
     p_ded.add_argument("--force", action="store_true")
-    p_ded.add_argument("--max-steps", type=int, default=1_000_000)
-    p_ded.add_argument("--max-branches", type=int, default=256)
-    common(p_ded)
+    budget_flags(p_ded)
+    common(p_ded, _cmd_deduce)
 
     p_ver = sub.add_parser("verify", help="model-check an explicit assignment table")
-    p_ver.add_argument("k", type=int)
-    p_ver.add_argument("N", type=int)
-    p_ver.add_argument("--table", type=Path, required=False)
-    common(p_ver)
+    p_ver.add_argument("k", type=positive)
+    p_ver.add_argument("N", type=positive)
+    p_ver.add_argument("--table", type=Path, required=True)
+    common(p_ver, _cmd_verify)
 
     p_s2 = sub.add_parser("search2", help="search a non-identity witness for k = 2")
-    p_s2.add_argument("N", type=int)
+    p_s2.add_argument("N", type=positive)
     p_s2.add_argument("--site-bound", type=int, default=20)
-    p_s2.add_argument("--max-steps", type=int, default=1_000_000)
-    p_s2.add_argument("--max-branches", type=int, default=256)
-    common(p_s2)
+    budget_flags(p_s2)
+    common(p_s2, _cmd_search2)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is None and os.environ.get(CACHE_ENV):
-        cache_dir = Path(os.environ[CACHE_ENV])
-    return RunConfig(
-        subcommand=args.subcommand,
-        k=getattr(args, "k", None),
-        bound=getattr(args, "N", None) or getattr(args, "n", None),
-        fmt=args.fmt,
-        cache_dir=cache_dir,
-        out=getattr(args, "out", None),
-        force=getattr(args, "force", False),
-        max_steps=getattr(args, "max_steps", 1_000_000),
-        max_branches=getattr(args, "max_branches", 256),
-        site_bound=getattr(args, "site_bound", 20),
-        cap=getattr(args, "cap", None),
-        table_path=getattr(args, "table", None),
-        hurwitz=getattr(args, "hurwitz", False),
-    )
-
-
-_DISPATCH = {
-    "repr": _cmd_repr,
-    "exceptions": _cmd_exceptions,
-    "deduce": _cmd_deduce,
-    "verify": _cmd_verify,
-    "search2": _cmd_search2,
-}
 
 
 def run(argv: list[str]) -> int:
@@ -383,14 +342,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    config = _config_from_args(args)
     try:
-        config.validate()
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _DISPATCH[config.subcommand](config)
+        return args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,6 +8,7 @@ import pytest
 from jsonschema import validate
 
 from sqadd.arith import identity_table
+from sqadd.cache import cache_path
 from sqadd.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 
 
@@ -94,6 +95,35 @@ class TestExceptions:
         assert code1 == code2 == code3 == EXIT_OK
         assert out1 == out2 == out3
 
+    def test_cache_dir_from_environment(self, capsys, tmp_path, monkeypatch):
+        env_dir = tmp_path / "env-cache"
+        monkeypatch.setenv("SQADD_CACHE_DIR", str(env_dir))
+        code, _, _ = invoke(["exceptions", "4", "300"], capsys)
+        assert code == EXIT_OK
+        assert cache_path(env_dir, 4, 300).exists()
+
+    def test_cache_dir_flag_wins_over_environment(self, capsys, tmp_path, monkeypatch):
+        env_dir, flag_dir = tmp_path / "env-cache", tmp_path / "flag-cache"
+        monkeypatch.setenv("SQADD_CACHE_DIR", str(env_dir))
+        code, _, _ = invoke(
+            ["exceptions", "4", "300", "--cache-dir", str(flag_dir)], capsys
+        )
+        assert code == EXIT_OK
+        assert cache_path(flag_dir, 4, 300).exists()
+        assert not env_dir.exists()
+
+    def test_unwritable_cache_dir_warns(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code1, out1, _ = invoke(["exceptions", "4", "300"], capsys)
+        code2, out2, err2 = invoke(
+            ["exceptions", "4", "300", "--cache-dir", str(blocker / "cache")], capsys
+        )
+        assert code2 == code1 == EXIT_OK
+        assert out2 == out1
+        assert "warning:" in err2
+        assert "Traceback" not in err2
+
 
 class TestDeduce:
     def test_json_table_and_trace_file(self, capsys, tmp_path):
@@ -155,6 +185,13 @@ class TestDeduce:
         )
         assert code == EXIT_BUDGET
         assert "budget" in err
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, _, err = invoke(["deduce", "3", "20", "--out", str(target)], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
 
 
 class TestVerify:
@@ -236,6 +273,24 @@ class TestUsage:
 
     def test_no_subcommand(self, capsys):
         assert run([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "exceptions 3 0",
+            "deduce 3 0",
+            "search2 0",
+            "deduce 3 -5",
+            "repr 0 3",
+            "repr 10 3 --cap 0",
+            "deduce 3 20 --max-branches 0",
+            "exceptions 2 50",
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, capsys, argv):
+        code, _, err = invoke(argv.split(), capsys)
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err
 
 
 def test_module_entry_point(child_env):
