@@ -34,10 +34,9 @@ from .engine import (
     search_nonidentity,
     verify_assignment,
 )
-from .poly import Poly, Rational, Symbol
+from .poly import Poly, Rational
 from .squares import (
     ExceptionalSet,
-    Representation,
     dubouis_reference_set,
     enumerate_representations,
     exceptional_set,
@@ -60,9 +59,7 @@ __all__ = [
     "PartialFunction",
     "Poly",
     "Rational",
-    "Representation",
     "SiteConflictError",
-    "Symbol",
     "Underdetermined",
     "Verdict",
     "dubouis_reference_set",

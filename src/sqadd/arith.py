@@ -1,10 +1,10 @@
 """Factorization and partially-known multiplicative functions.
 
 A multiplicative function is determined by its values on prime powers, so
-the assignment state is a map from sites p^e to either a known rational or
-a polynomial symbol.  Evaluation at any n multiplies the entries of its
-coprime prime-power factors; f(1) = 1 is built in (multiplicative and not
-identically zero).
+the assignment state maps each tracked site p^e to its known rational, or
+to None while f(p^e) is still an unknown; the unknown is the site itself.
+Evaluation at any n multiplies the entries of its coprime prime-power
+factors; f(1) = 1 is built in (multiplicative and not identically zero).
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
-from .poly import Poly, Rational, Symbol
+from .poly import Poly, Rational
 
 
 class SiteConflictError(ValueError):
@@ -104,57 +104,44 @@ def prime_powers_upto(n: int) -> list[int]:
     return out
 
 
-Entry = Union[Fraction, Symbol]
-
-
 class PartialFunction:
     """Assignment state of a multiplicative function on prime-power sites."""
 
-    __slots__ = ("_entries", "_next_id")
+    __slots__ = ("_entries",)
 
     def __init__(self) -> None:
-        self._entries: dict[int, Entry] = {}
-        self._next_id = 0
+        self._entries: dict[int, Optional[Fraction]] = {}
 
     def copy(self) -> "PartialFunction":
         dup = PartialFunction()
         dup._entries = dict(self._entries)
-        dup._next_id = self._next_id
         return dup
 
     # -- sites ---------------------------------------------------------
 
-    def ensure_site(self, site: int) -> Entry:
-        """Existing entry for the site, allocating a fresh Symbol if new."""
-        entry = self._entries.get(site)
-        if entry is None:
+    def ensure_site(self, site: int) -> Optional[Fraction]:
+        """Known value of the site, tracking it as an unknown (None) if new."""
+        if site not in self._entries:
             if not is_prime_power(site):
                 raise ValueError(f"{site} is not a prime power site")
-            entry = Symbol(self._next_id, site)
-            self._next_id += 1
-            self._entries[site] = entry
-        return entry
+            self._entries[site] = None
+        return self._entries[site]
 
     def known(self, site: int) -> Optional[Fraction]:
-        entry = self._entries.get(site)
-        return entry if isinstance(entry, Fraction) else None
-
-    def symbol_for(self, site: int) -> Optional[Symbol]:
-        entry = self._entries.get(site)
-        return entry if isinstance(entry, Symbol) else None
+        return self._entries.get(site)
 
     def assigned_table(self, limit: Optional[int] = None) -> dict[int, Fraction]:
         return {
-            site: entry
-            for site, entry in sorted(self._entries.items())
-            if isinstance(entry, Fraction) and (limit is None or site <= limit)
+            site: value
+            for site, value in sorted(self._entries.items())
+            if value is not None and (limit is None or site <= limit)
         }
 
     def unassigned_sites(self, limit: Optional[int] = None) -> list[int]:
         return [
             site
-            for site, entry in sorted(self._entries.items())
-            if isinstance(entry, Symbol) and (limit is None or site <= limit)
+            for site, value in sorted(self._entries.items())
+            if value is None and (limit is None or site <= limit)
         ]
 
     # -- assignment ------------------------------------------------------
@@ -163,13 +150,13 @@ class PartialFunction:
         """Record f(site) = value.  Idempotent; conflicting values raise."""
         value = Fraction(value)
         current = self._entries.get(site)
-        if isinstance(current, Fraction):
+        if current is not None:
             if current != value:
                 raise SiteConflictError(
                     f"f({site}) already {current}, refusing {value}"
                 )
             return
-        if current is None and not is_prime_power(site):
+        if site not in self._entries and not is_prime_power(site):
             raise ValueError(f"{site} is not a prime power site")
         self._entries[site] = value
 
@@ -180,14 +167,15 @@ class PartialFunction:
         if n == 1:
             return Poly.const(1)
         coeff = Fraction(1)
-        mono: list[Symbol] = []
+        mono: list[int] = []
         for p, e in factorize(n).pairs:
-            entry = self.ensure_site(p**e)
-            if isinstance(entry, Fraction):
-                coeff *= entry
+            site = p**e
+            value = self.ensure_site(site)
+            if value is None:
+                mono.append(site)
             else:
-                mono.append(entry)
-        mono.sort(key=Symbol.sort_key)
+                coeff *= value
+        mono.sort()
         return Poly({tuple(mono): coeff})
 
     def peek(self, n: int) -> tuple[Optional[Poly], tuple[int, ...]]:
@@ -195,19 +183,21 @@ class PartialFunction:
         if n == 1:
             return Poly.const(1), ()
         coeff = Fraction(1)
-        mono: list[Symbol] = []
+        mono: list[int] = []
         missing: list[int] = []
         for p, e in factorize(n).pairs:
-            entry = self._entries.get(p**e)
-            if entry is None:
-                missing.append(p**e)
-            elif isinstance(entry, Fraction):
-                coeff *= entry
+            site = p**e
+            if site not in self._entries:
+                missing.append(site)
+                continue
+            value = self._entries[site]
+            if value is None:
+                mono.append(site)
             else:
-                mono.append(entry)
+                coeff *= value
         if missing:
             return None, tuple(missing)
-        mono.sort(key=Symbol.sort_key)
+        mono.sort()
         return Poly({tuple(mono): coeff}), ()
 
     def known_value(self, n: int) -> Optional[Fraction]:
@@ -216,17 +206,17 @@ class PartialFunction:
             return Fraction(1)
         acc = Fraction(1)
         for p, e in factorize(n).pairs:
-            entry = self._entries.get(p**e)
-            if not isinstance(entry, Fraction):
+            value = self._entries.get(p**e)
+            if value is None:
                 return None
-            acc *= entry
+            acc *= value
         return acc
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __repr__(self) -> str:
-        known = sum(1 for v in self._entries.values() if isinstance(v, Fraction))
+        known = sum(1 for v in self._entries.values() if v is not None)
         return f"PartialFunction({known} known / {len(self._entries)} sites)"
 
 

@@ -92,17 +92,17 @@ def _cmd_repr(args: argparse.Namespace) -> int:
                     "n": args.n,
                     "k": args.k,
                     "count": len(reps),
-                    "representations": [list(r.parts) for r in reps],
+                    "representations": [list(parts) for parts in reps],
                 },
                 separators=(",", ":"),
             )
         )
     elif args.fmt == "csv":
-        for r in reps:
-            _emit(",".join(str(a) for a in r.parts))
+        for parts in reps:
+            _emit(",".join(str(a) for a in parts))
     else:
-        for r in reps:
-            _emit(" ".join(str(a) for a in r.parts))
+        for parts in reps:
+            _emit(" ".join(str(a) for a in parts))
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from .arith import (
     prime_power_split,
     prime_powers_upto,
 )
-from .poly import Poly, Rational, Symbol
+from .poly import Poly, Rational, symbol_name
 from .squares import enumerate_representations
 
 # All representations of one n when their count is at most this, else the
@@ -213,7 +213,7 @@ class BranchState:
             {"residue": str(eq.poly.constant_value())},
         )
 
-    def fork(self, root_index: int, symbol: Symbol, value: Fraction) -> "BranchState":
+    def fork(self, root_index: int, site: int, value: Fraction) -> "BranchState":
         child = BranchState(
             pf=self.pf.copy(),
             pending=list(self.pending),
@@ -221,11 +221,11 @@ class BranchState:
             bound=self.bound,
             path=self.path + (root_index,),
         )
-        child.pf.assign(symbol.site, value)
+        child.pf.assign(site, value)
         child.record(
             "branch",
-            {"symbol": repr(symbol), "root_index": root_index},
-            {"site": symbol.site, "value": str(value)},
+            {"symbol": symbol_name(site), "root_index": root_index},
+            {"site": site, "value": str(value)},
         )
         return child
 
@@ -253,11 +253,11 @@ def generate_equations(k: int, bound: int, pf: PartialFunction) -> list[Equation
         if not reps:
             continue
         left = pf.evaluate(n)
-        for rep in reps:
+        for parts in reps:
             total = Poly.const(0)
-            for a in rep.parts:
+            for a in parts:
                 total = total + pf.evaluate(a * a)
-            equations.append(Equation(left - total, Additivity(n, rep.parts)))
+            equations.append(Equation(left - total, Additivity(n, parts)))
     return equations
 
 
@@ -266,10 +266,10 @@ def generate_equations(k: int, bound: int, pf: PartialFunction) -> list[Equation
 
 
 def _fold(poly: Poly, pf: PartialFunction) -> Poly:
-    for sym in poly.symbols():
-        value = pf.known(sym.site)
+    for site in poly.symbols():
+        value = pf.known(site)
         if value is not None:
-            poly = poly.substitute(sym, value)
+            poly = poly.substitute(site, value)
     return poly
 
 
@@ -297,8 +297,8 @@ def propagate(
     for i, eq in enumerate(pending):
         if eq is None:
             continue
-        for sym in eq.poly.symbols():
-            site_index.setdefault(sym.site, set()).add(i)
+        for site in eq.poly.symbols():
+            site_index.setdefault(site, set()).add(i)
 
     dirty: deque[int] = deque(i for i, eq in enumerate(pending) if eq is not None)
     in_dirty = set(dirty)
@@ -343,10 +343,10 @@ def propagate(
                 return state
             solved = folded.linear_solve()
             if solved is not None:
-                sym, value = solved
+                site, value = solved
                 pending[i] = None
                 if not apply_assignment(
-                    sym.site,
+                    site,
                     value,
                     "assign",
                     provenance_fields(eq.provenance),
@@ -411,8 +411,7 @@ def _attempt_derive(
     p, e = prime_power_split(site)
     # Sites beyond the generation bound are untracked until targeted here.
     pf.ensure_site(site)
-    target = pf.symbol_for(site)
-    allowed = {target} if target is not None else set()
+    allowed = {site}
     blockers: Counter[int] = Counter()
 
     def scan() -> Optional[tuple[Fraction, Equation, dict]]:
@@ -428,10 +427,10 @@ def _attempt_derive(
                 if left is None or not left.symbols() <= allowed:
                     continue
                 counter.tick("derivation")
-                for rep in enumerate_representations(n2, state.k, REPRESENTATION_CAP):
+                for parts in enumerate_representations(n2, state.k, REPRESENTATION_CAP):
                     total = Poly.const(0)
                     bad = False
-                    for a in rep.parts:
+                    for a in parts:
                         part, missing = pf.peek(a * a)
                         if part is None:
                             blockers.update(missing)
@@ -439,7 +438,7 @@ def _attempt_derive(
                             break
                         extra = part.symbols() - allowed
                         if extra:
-                            blockers.update(s.site for s in extra)
+                            blockers.update(extra)
                             bad = True
                             break
                         total = total + part
@@ -455,10 +454,10 @@ def _attempt_derive(
                         state.contradict(Equation(poly, prov))
                         return None
                     solved = poly.linear_solve()
-                    if solved is None or solved[0].site != site:
+                    if solved is None or solved[0] != site:
                         continue
                     inputs = provenance_fields(prov)
-                    inputs["parts"] = list(rep.parts)
+                    inputs["parts"] = list(parts)
                     return solved[1], Equation(poly, prov), inputs
         return None
 
@@ -524,7 +523,7 @@ def eliminate(
     state: BranchState,
     budget: Optional[EngineBudget] = None,
     counter: Optional[_Counter] = None,
-) -> Optional[tuple[Symbol, Poly]]:
+) -> Optional[tuple[int, Poly]]:
     """Derive a univariate eliminant from the pending system, if any.
 
     Substitution closure over the pending equations and their same-n cross
@@ -542,12 +541,12 @@ def eliminate(
     work = _eliminate_work(state)
     if not work:
         return None
-    occurs: dict[Symbol, set[int]] = {}
+    occurs: dict[int, set[int]] = {}
     for idx, poly in enumerate(work):
         for sym in poly.symbols():
             occurs.setdefault(sym, set()).add(idx)
 
-    best: dict[Symbol, tuple[int, Poly]] = {}
+    best: dict[int, tuple[int, Poly]] = {}
 
     def consider(idx: int, poly: Poly) -> None:
         uni = poly.univariate_coeffs()
@@ -565,8 +564,8 @@ def eliminate(
 
     sub_counts = [0] * len(work)
     consumed: set[int] = set()
-    substituted: set[Symbol] = set()
-    universe = sorted(occurs, key=Symbol.sort_key, reverse=True)
+    substituted: set[int] = set()
+    universe = sorted(occurs, reverse=True)
 
     changed = True
     while changed:
@@ -611,7 +610,7 @@ def eliminate(
 
     if not best:
         return None
-    chosen = min(best, key=Symbol.sort_key)
+    chosen = min(best)
     return chosen, best[chosen][1].primitive()
 
 
@@ -745,20 +744,20 @@ def _explore(
             branch.status = SATURATED
             branch.record("saturated", {}, {"free": branch.pf.unassigned_sites(bound)})
             return leaf(branch)
-        symbol, eliminant = found
+        site, eliminant = found
         roots = rational_roots(eliminant)
         if not roots:
             branch.status = SATURATED
             branch.note = "eliminant without rational roots; non-rational branches not explored"
             branch.record(
                 "saturated",
-                {"eliminant": str(eliminant), "symbol": repr(symbol)},
+                {"eliminant": str(eliminant), "symbol": symbol_name(site)},
                 {"note": branch.note},
             )
             return leaf(branch)
         branch.record(
             "split",
-            {"eliminant": str(eliminant), "symbol": repr(symbol), "site": symbol.site},
+            {"eliminant": str(eliminant), "symbol": symbol_name(site), "site": site},
             {"roots": [str(r) for r in roots]},
         )
         children = []
@@ -766,7 +765,7 @@ def _explore(
             branch_total += 1
             if branch_total > budget.max_branches:
                 raise BudgetExhausted("branches", branch_total)
-            children.append(branch.fork(idx, symbol, r))
+            children.append(branch.fork(idx, site, r))
         steps.extend(branch.log)
         for child in children:
             explore(child)
@@ -871,13 +870,13 @@ def verify_assignment(
 
     checked = 0
     for n in range(1, bound + 1):
-        for rep in enumerate_representations(n, k, REPRESENTATION_CAP):
+        for parts in enumerate_representations(n, k, REPRESENTATION_CAP):
             checked += 1
-            residue = f(n) - sum(f(a * a) for a in rep.parts)
+            residue = f(n) - sum(f(a * a) for a in parts)
             if residue:
                 poly = Poly.const(residue)
                 return VerificationReport(
-                    False, Equation(poly, Additivity(n, rep.parts)), checked
+                    False, Equation(poly, Additivity(n, parts)), checked
                 )
     return VerificationReport(True, None, checked)
 

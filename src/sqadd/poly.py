@@ -1,15 +1,15 @@
 """Exact multivariate polynomials over the rationals.
 
-The unknowns are values of a multiplicative function at prime-power sites.
+The unknowns are values of a multiplicative function at prime-power sites
+p^e, and each unknown is its site: a plain ``int``, displayed ``x{site}``.
 Every equation the deduction engine manipulates is a ``Poly`` required to
 equal zero, so all arithmetic here is exact (``fractions.Fraction``) and
 every operation returns a canonical form: no zero coefficients, monomials
-ordered degree-lexicographically by symbol id.
+ordered degree-lexicographically by site.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional, Union
@@ -19,30 +19,21 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """Unknown value f(p^e) attached to one prime-power site."""
-
-    id: int
-    site: int
-
-    def __repr__(self) -> str:
-        return f"x{self.site}"
-
-    def sort_key(self) -> tuple[int, int]:
-        return (self.site, self.id)
+def symbol_name(site: int) -> str:
+    """Display name of the unknown f(site)."""
+    return f"x{site}"
 
 
-# A monomial is a sorted tuple of symbols, repeats encode powers.
-Monomial = tuple[Symbol, ...]
+# A monomial is a nondecreasing tuple of sites, repeats encode powers.
+Monomial = tuple[int, ...]
 
 
 def _merge(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(sorted(a + b, key=Symbol.sort_key))
+    return tuple(sorted(a + b))
 
 
 def _monomial_key(m: Monomial) -> tuple:
-    return (len(m), tuple(s.site for s in m), tuple(s.id for s in m))
+    return (len(m), m)
 
 
 class Poly:
@@ -83,8 +74,8 @@ class Poly:
 
     # -- structure ---------------------------------------------------
 
-    def symbols(self) -> set[Symbol]:
-        out: set[Symbol] = set()
+    def symbols(self) -> set[int]:
+        out: set[int] = set()
         for mono in self.terms:
             out.update(mono)
         return out
@@ -92,8 +83,8 @@ class Poly:
     def total_degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
 
-    def degree_in(self, symbol: Symbol) -> int:
-        return max((sum(1 for s in m if s == symbol) for m in self.terms), default=0)
+    def degree_in(self, symbol: int) -> int:
+        return max((m.count(symbol) for m in self.terms), default=0)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]))
@@ -175,13 +166,13 @@ class Poly:
 
     # -- substitution and evaluation ----------------------------------
 
-    def substitute(self, symbol: Symbol, value: Scalar) -> "Poly":
+    def substitute(self, symbol: int, value: Scalar) -> "Poly":
         """Replace every occurrence of ``symbol`` by a rational constant."""
         v = Fraction(value)
         terms: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             count = 0
-            rest: list[Symbol] = []
+            rest: list[int] = []
             for s in mono:
                 if s == symbol:
                     count += 1
@@ -193,11 +184,11 @@ class Poly:
                 terms[m] = terms.get(m, Fraction(0)) + c
         return Poly(terms)
 
-    def substitute_poly(self, symbol: Symbol, replacement: "Poly") -> "Poly":
+    def substitute_poly(self, symbol: int, replacement: "Poly") -> "Poly":
         """Replace ``symbol`` by an arbitrary polynomial."""
         out = Poly()
         for mono, coeff in self.terms.items():
-            count = sum(1 for s in mono if s == symbol)
+            count = mono.count(symbol)
             rest = tuple(s for s in mono if s != symbol)
             piece = Poly({rest: coeff})
             if count:
@@ -205,7 +196,7 @@ class Poly:
             out = out + piece
         return out
 
-    def evaluate(self, values: Mapping[Symbol, Scalar]) -> Fraction:
+    def evaluate(self, values: Mapping[int, Scalar]) -> Fraction:
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             acc = coeff
@@ -216,7 +207,7 @@ class Poly:
 
     # -- shape queries used by the engine ------------------------------
 
-    def linear_solve(self) -> Optional[tuple[Symbol, Fraction]]:
+    def linear_solve(self) -> Optional[tuple[int, Fraction]]:
         """If the poly is c*s + d with one symbol, return (s, -d/c)."""
         syms = self.symbols()
         if len(syms) != 1:
@@ -230,7 +221,7 @@ class Poly:
         d = self.constant_term()
         return (s, -d / c)
 
-    def solve_for(self, symbol: Symbol) -> Optional["Poly"]:
+    def solve_for(self, symbol: int) -> Optional["Poly"]:
         """Solve for ``symbol`` when its coefficient is a nonzero constant.
 
         Requires the poly to be c*symbol + rest with ``rest`` free of the
@@ -248,7 +239,7 @@ class Poly:
             rest[mono] = -coeff / c
         return Poly(rest)
 
-    def univariate_coeffs(self) -> Optional[tuple[Symbol, list[Fraction]]]:
+    def univariate_coeffs(self) -> Optional[tuple[int, list[Fraction]]]:
         """Dense coefficients (c0..cd) when exactly one symbol occurs."""
         syms = self.symbols()
         if len(syms) != 1:
@@ -293,7 +284,7 @@ class Poly:
                     while j < len(mono) and mono[j] == mono[i]:
                         j += 1
                     power = j - i
-                    factors.append(repr(mono[i]) + (f"^{power}" if power > 1 else ""))
+                    factors.append(symbol_name(mono[i]) + (f"^{power}" if power > 1 else ""))
                     i = j
                 body = "*".join(factors)
                 if coeff == 1:

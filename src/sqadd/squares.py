@@ -18,28 +18,6 @@ from math import isqrt
 from typing import Optional
 
 
-@dataclass(frozen=True)
-class Representation:
-    """A multiset of k positive integers whose squares sum to n."""
-
-    n: int
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("at least one part required")
-        if any(a < 1 for a in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts}")
-        if any(a > b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be nondecreasing: {self.parts}")
-        if sum(a * a for a in self.parts) != self.n:
-            raise ValueError(f"{self.parts} does not represent {self.n}")
-
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
-
 @lru_cache(maxsize=1 << 17)
 def _part_tuples(n: int, k: int, cap: Optional[int]) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = []
@@ -69,11 +47,12 @@ def _part_tuples(n: int, k: int, cap: Optional[int]) -> tuple[tuple[int, ...], .
 
 def enumerate_representations(
     n: int, k: int, cap: Optional[int] = None
-) -> list[Representation]:
+) -> list[tuple[int, ...]]:
     """Canonical representations of n into k positive squares.
 
-    Output is in lexicographic order of the nondecreasing part tuples and a
-    cap returns a prefix of the unlimited list.  Deterministic and pure.
+    Each representation is its nondecreasing tuple of k parts a_i >= 1 with
+    a_1^2 + ... + a_k^2 = n.  Output is in lexicographic order and a cap
+    returns a prefix of the unlimited list.  Deterministic and pure.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -81,7 +60,7 @@ def enumerate_representations(
         raise ValueError(f"k must be positive, got {k}")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be positive or None, got {cap}")
-    return [Representation(n, parts) for parts in _part_tuples(n, k, cap)]
+    return list(_part_tuples(n, k, cap))
 
 
 def is_expressible(n: int, k: int) -> bool:

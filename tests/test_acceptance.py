@@ -21,7 +21,7 @@ from sqadd.engine import (
     search_nonidentity,
     verify_assignment,
 )
-from sqadd.poly import Poly, Symbol
+from sqadd.poly import Poly
 from sqadd.squares import (
     dubouis_reference_set,
     exceptional_set,
@@ -111,7 +111,7 @@ def test_criterion_4_two_case_branch_structure():
     split = two_case[0]
     eliminant = split.inputs["eliminant"]
     # the recorded eliminant must have exactly the rational roots 1 and 4
-    x = Symbol(0, split.inputs["site"])
+    x = split.inputs["site"]
     poly = Poly({(x, x): 1, (x,): -5, (): 4})
     assert rational_roots(poly) == [1, 4]
     assert eliminant == str(poly)
@@ -173,7 +173,7 @@ def test_criterion_6_property_suites():
             assert ((level >> n) & 1) == int(is_expressible(n, k)), (n, k)
 
     # rational-root completeness spot checks
-    x = Symbol(0, 2)
+    x = 2
     assert rational_roots(Poly({(x, x): 3, (x,): -8, (): 4})) == [
         Fraction(2, 3),
         Fraction(2),

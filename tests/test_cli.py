@@ -41,6 +41,24 @@ class TestRepr:
         payload = json.loads(out)
         assert payload == {"n": 33, "k": 5, "count": 0, "representations": []}
 
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            ("text", "1 1 1 5\n1 3 3 3\n2 2 2 4\n"),
+            ("csv", "1,1,1,5\n1,3,3,3\n2,2,2,4\n"),
+            (
+                "json",
+                '{"n":28,"k":4,"count":3,'
+                '"representations":[[1,1,1,5],[1,3,3,3],[2,2,2,4]]}\n',
+            ),
+        ],
+    )
+    def test_exact_output_28_into_4(self, capsys, fmt, expected):
+        code, out, err = invoke(["repr", "28", "4", "--format", fmt], capsys)
+        assert code == EXIT_OK
+        assert out == expected
+        assert err == ""
+
 
 class TestExceptions:
     def test_five_squares_pass(self, capsys):

@@ -27,7 +27,7 @@ from sqadd.engine import (
     search_nonidentity,
     verify_assignment,
 )
-from sqadd.poly import Poly, Symbol
+from sqadd.poly import Poly
 
 
 def fresh_state(k: int, bound: int, keep=None) -> BranchState:
@@ -61,16 +61,13 @@ class TestGenerate:
             if e.provenance.n == 20
         }
         assert set(eqs) == {(1, 1, 1, 1, 4), (2, 2, 2, 2, 2)}
-        x4 = state.pf.symbol_for(4)
-        x16 = state.pf.symbol_for(16)
-        expected = Poly({(x16,): 1, (): 4, (x4,): -5})
+        expected = Poly({(16,): 1, (): 4, (4,): -5})
         diff = eqs[(1, 1, 1, 1, 4)] - eqs[(2, 2, 2, 2, 2)]
         assert diff in (expected, -expected)
 
     def test_k2_n2_forces_two(self):
         state = fresh_state(2, 2)
-        x2 = state.pf.symbol_for(2)
-        assert state.pending[0].poly == Poly({(x2,): 1, (): -2})
+        assert state.pending[0].poly == Poly({(2,): 1, (): -2})
         assert state.pending[0].provenance == Additivity(2, (1, 1))
 
     def test_deterministic_order(self):
@@ -101,11 +98,8 @@ class TestPropagate:
         propagate(state)
         assert state.status == ACTIVE
         live = [e.poly for e in state.pending if e is not None]
-        x2 = state.pf.symbol_for(2)
-        x4 = state.pf.symbol_for(4)
-        x9 = state.pf.symbol_for(9)
-        assert Poly({(x2,): 3, (): -2, (x4,): -1}) in live
-        assert Poly({(x9,): 1, (): -1, (x4,): -2}) in live
+        assert Poly({(2,): 3, (): -2, (4,): -1}) in live
+        assert Poly({(9,): 1, (): -1, (4,): -2}) in live
         assert state.pf.known(3) == 3  # the trivial all-ones equation fires
 
     def test_zero_equations_dropped_silently(self):
@@ -144,33 +138,32 @@ class TestPropagate:
 class TestEliminate:
     def test_single_equation_already_univariate(self):
         pf = PartialFunction()
-        x = pf.ensure_site(2)
+        x = 2
+        pf.ensure_site(x)
         eq = Equation(Poly({(x,): 2, (): -6}), Additivity(2, (1, 1)))
         state = BranchState(pf=pf, pending=[eq], k=2, bound=2)
-        sym, poly = eliminate(state)
-        assert sym == x
+        site, poly = eliminate(state)
+        assert site == x
         assert poly == Poly({(x,): 2, (): -6}).primitive()
 
     def test_lemma_one_system_eliminates_to_quadratic(self):
         # the k = 3 system displayed for n in {6, 9, 11, 14, 18, 21, 22, 24}
         state = fresh_state(3, 24, keep={3, 6, 9, 11, 12, 14, 18, 21, 22, 24})
         propagate(state)  # assigns f(3) = 3, folds the rest
-        sym, poly = eliminate(state)
-        assert sym.site == 2
-        x2 = state.pf.symbol_for(2)
-        assert poly == Poly({(x2, x2): 3, (x2,): -8, (): 4})
+        site, poly = eliminate(state)
+        assert site == 2
+        assert poly == Poly({(2, 2): 3, (2,): -8, (): 4})
         # oracle: expand and verify both quadratic-formula roots
-        assert poly.substitute(x2, 2).is_zero()
-        assert poly.substitute(x2, Fraction(2, 3)).is_zero()
+        assert poly.substitute(2, 2).is_zero()
+        assert poly.substitute(2, Fraction(2, 3)).is_zero()
 
     def test_padded_identities_eliminate_to_lemma6_quadratic(self):
         # k >= 6 equations from 20, 28, 40 padded with unit squares
         state = fresh_state(6, 41, keep={21, 30, 41})
         propagate(state)
-        sym, poly = eliminate(state)
-        assert sym.site == 4
-        x4 = state.pf.symbol_for(4)
-        assert poly == Poly({(x4, x4): 1, (x4,): -5, (): 4})
+        site, poly = eliminate(state)
+        assert site == 4
+        assert poly == Poly({(4, 4): 1, (4,): -5, (): 4})
 
     def test_nothing_to_eliminate(self):
         pf = PartialFunction()
@@ -180,17 +173,17 @@ class TestEliminate:
 
 class TestRationalRoots:
     def test_two_cases_quadratic(self):
-        x = Symbol(0, 4)
+        x = 4
         poly = Poly({(x, x): 1, (x,): -5, (): 4})
         assert rational_roots(poly) == [1, 4]
 
     def test_lemma_one_quadratic(self):
-        x = Symbol(0, 2)
+        x = 2
         poly = Poly({(x, x): 3, (x,): -8, (): 4})
         assert rational_roots(poly) == [Fraction(2, 3), 2]
 
     def test_no_rational_roots(self):
-        x = Symbol(0, 2)
+        x = 2
         assert rational_roots(Poly({(x, x): 1, (): 1})) == []
 
     def test_zero_polynomial_rejected(self):
@@ -198,7 +191,7 @@ class TestRationalRoots:
             rational_roots(Poly())
 
     def test_zero_root_and_multiplicity(self):
-        x = Symbol(0, 2)
+        x = 2
         # x^2 * (x - 3): roots {0, 3}, multiplicity ignored
         poly = Poly({(x, x, x): 1, (x, x): -3})
         assert rational_roots(poly) == [0, 3]
@@ -213,7 +206,7 @@ class TestRationalRoots:
     @settings(max_examples=60, deadline=None)
     def test_complete_over_constructed_roots(self, roots):
         # oracle: the product of (q*x - p) factors times (x^2 + 1)
-        x = Symbol(0, 2)
+        x = 2
         poly = Poly({(x, x): 1, (): 1})
         for r in roots:
             poly = poly * Poly({(x,): r.denominator, (): -r.numerator})
@@ -315,15 +308,15 @@ class TestRunUniqueness:
             fresh.ensure_site(site)
         for eq in generate_equations(3, 60, fresh):
             total = eq.poly
-            for sym in eq.poly.symbols():
-                total = total.substitute(sym, pf.known(sym.site))
+            for site in eq.poly.symbols():
+                total = total.substitute(site, pf.known(site))
             assert total.is_zero(), eq.provenance
         assert branch.derived
         for eq in branch.derived:
             total = eq.poly
-            for sym in eq.poly.symbols():
-                assert pf.known(sym.site) is not None
-                total = total.substitute(sym, pf.known(sym.site))
+            for site in eq.poly.symbols():
+                assert pf.known(site) is not None
+                total = total.substitute(site, pf.known(site))
             assert total.is_zero(), eq.provenance
 
     def test_rejects_bad_arguments(self):

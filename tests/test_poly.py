@@ -5,11 +5,10 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqadd.poly import Poly, Symbol
+from sqadd.poly import Poly
 
-X2 = Symbol(0, 2)
-X4 = Symbol(1, 4)
-X9 = Symbol(2, 9)
+# unknowns are their sites
+X2, X4, X9 = 2, 4, 9
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -17,7 +16,7 @@ rationals = st.fractions(
 
 monomials = st.lists(
     st.sampled_from([X2, X4, X9]), min_size=0, max_size=3
-).map(lambda syms: tuple(sorted(syms, key=Symbol.sort_key)))
+).map(lambda syms: tuple(sorted(syms)))
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Representation enumeration and exceptional sets, checked against brute force."""
+"""Enumerating representations and exceptional sets, checked against brute force."""
 
 from itertools import combinations_with_replacement
 from math import isqrt
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from sqadd.squares import (
     ExceptionalSet,
-    Representation,
     dubouis_reference_set,
     enumerate_representations,
     exceptional_set,
@@ -31,7 +30,7 @@ def brute_force_parts(n: int, k: int) -> list[tuple[int, ...]]:
 
 class TestEnumerate:
     def test_28_into_4_contains_both_published_pairs(self):
-        parts = [r.parts for r in enumerate_representations(28, 4)]
+        parts = enumerate_representations(28, 4)
         assert (1, 3, 3, 3) in parts
         assert (2, 2, 2, 4) in parts
 
@@ -39,26 +38,25 @@ class TestEnumerate:
         # oracle: brute force over a1 <= a2 <= a3 <= a4 <= 5
         expected = brute_force_parts(28, 4)
         assert expected == [(1, 1, 1, 5), (1, 3, 3, 3), (2, 2, 2, 4)]
-        assert [r.parts for r in enumerate_representations(28, 4)] == expected
+        assert enumerate_representations(28, 4) == expected
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
     def test_n_equal_k_is_all_ones(self, k):
-        reps = enumerate_representations(k, k)
-        assert [r.parts for r in reps] == [(1,) * k]
+        assert enumerate_representations(k, k) == [(1,) * k]
 
     def test_12_into_3(self):
         expected = brute_force_parts(12, 3)
         assert expected == [(2, 2, 2)]
-        assert [r.parts for r in enumerate_representations(12, 3)] == expected
+        assert enumerate_representations(12, 3) == expected
 
     def test_matches_brute_force_broadly(self):
         for n in range(1, 120):
             for k in range(1, 6):
-                got = [r.parts for r in enumerate_representations(n, k)]
+                got = enumerate_representations(n, k)
                 assert got == brute_force_parts(n, k), (n, k)
 
     def test_lexicographic_order(self):
-        reps = [r.parts for r in enumerate_representations(300, 4)]
+        reps = enumerate_representations(300, 4)
         assert reps == sorted(reps)
 
     @given(
@@ -73,24 +71,22 @@ class TestEnumerate:
         assert capped == full[:cap]
 
     def test_invariants_exhaustive(self):
-        # every returned representation sums back and is nondecreasing;
-        # Representation.__post_init__ re-validates on construction
+        # every returned representation has exactly k parts, all positive,
+        # nondecreasing, whose squares sum back to n
         for n in range(1, 10_001):
-            for r in enumerate_representations(n, 3):
-                assert sum(a * a for a in r.parts) == n
-                assert all(a <= b for a, b in zip(r.parts, r.parts[1:]))
+            for parts in enumerate_representations(n, 3):
+                assert len(parts) == 3
+                assert parts[0] >= 1
+                assert all(a <= b for a, b in zip(parts, parts[1:]))
+                assert sum(a * a for a in parts) == n
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Representation(10, (3, 1))  # not nondecreasing
-        with pytest.raises(ValueError):
-            Representation(10, (1, 2))  # 1 + 4 != 10
-        with pytest.raises(ValueError):
-            Representation(4, ())
         with pytest.raises(ValueError):
             enumerate_representations(0, 3)
         with pytest.raises(ValueError):
             enumerate_representations(5, 0)
+        with pytest.raises(ValueError):
+            enumerate_representations(5, 3, 0)
 
 
 class TestExpressible:
