@@ -262,12 +262,14 @@ class TestRunUniqueness:
         assert a.trace.serialize() == b.trace.serialize()
 
     # sha256 of the serialized trace; pins the step order of the branch
-    # search.  (7, 42) splits four times and matches bench/baseline.json.
+    # search.  (6, 140) leans on elimination, so it pins substitute_poly;
+    # it and (7, 42) match bench/baseline.json.
     @pytest.mark.parametrize(
         "k, bound, digest",
         [
             (3, 60, "ec76c7ff01e786bf78d710a189e5c2ca6808d296da670398d5d179f2e245a1c1"),
             (6, 60, "fb6d4942b734d50de64d0e6ba58cdf79595abadd11562762c8028c2bf0b63308"),
+            (6, 140, "75215910828c1804ae61e05e6fb4a8d920a998b3605fa88614be8f7e2eb7bd80"),
             (7, 42, "fcf91932b40118ad2785dcb9de5b2133c61994ffd3e084939f258ecd8e6d67c7"),
         ],
     )
