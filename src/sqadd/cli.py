@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import engine
+from .arith import is_prime_power
 from .cache import sieve_with_cache
 from .engine import (
     BudgetExhausted,
@@ -65,10 +66,15 @@ def _int_at_least(low: int):
 
 
 def _parse_site(text: str) -> int:
-    if "^" in text:
-        p, e = text.split("^")
-        return int(p) ** int(e)
-    return int(text)
+    """A table key, "q" or "p^e", naming a prime-power site; UsageError otherwise."""
+    base, caret, exponent = text.partition("^")
+    try:
+        site = int(base) ** int(exponent) if caret else int(base)
+    except ValueError:
+        site = None
+    if not isinstance(site, int) or site < 2 or not is_prime_power(site):
+        raise UsageError(f"table key {text!r} is not a prime-power site")
+    return site
 
 
 def _emit(text: str) -> None:
@@ -329,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_s2 = sub.add_parser("search2", help="search a non-identity witness for k = 2")
     p_s2.add_argument("N", type=positive)
-    p_s2.add_argument("--site-bound", type=int, default=20)
+    p_s2.add_argument("--site-bound", type=positive, default=20)
     budget_flags(p_s2)
     common(p_s2, _cmd_search2)
 

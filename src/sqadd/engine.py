@@ -248,16 +248,18 @@ def generate_equations(k: int, bound: int, pf: PartialFunction) -> list[Equation
     if bound < k:
         raise ValueError(f"bound must be >= k, got {bound}")
     equations: list[Equation] = []
+    squares: dict[int, Poly] = {}  # f(a^2) by part a; parts recur across n
     for n in range(1, bound + 1):
         reps = enumerate_representations(n, k, REPRESENTATION_CAP)
         if not reps:
             continue
         left = pf.evaluate(n)
         for parts in reps:
-            total = Poly.const(0)
             for a in parts:
-                total = total + pf.evaluate(a * a)
-            equations.append(Equation(left - total, Additivity(n, parts)))
+                if a not in squares:
+                    squares[a] = pf.evaluate(a * a)
+            poly = left.minus_sum(squares[a] for a in parts)
+            equations.append(Equation(poly, Additivity(n, parts)))
     return equations
 
 
@@ -428,23 +430,20 @@ def _attempt_derive(
                     continue
                 counter.tick("derivation")
                 for parts in enumerate_representations(n2, state.k, REPRESENTATION_CAP):
-                    total = Poly.const(0)
-                    bad = False
+                    values: list[Poly] = []
                     for a in parts:
                         part, missing = pf.peek(a * a)
                         if part is None:
                             blockers.update(missing)
-                            bad = True
                             break
                         extra = part.symbols() - allowed
                         if extra:
                             blockers.update(extra)
-                            bad = True
                             break
-                        total = total + part
-                    if bad:
+                        values.append(part)
+                    if len(values) < len(parts):
                         continue
-                    poly = left - total
+                    poly = left.minus_sum(values)
                     if poly.is_zero():
                         continue
                     prov = Multiplicativity(n2, m, base)

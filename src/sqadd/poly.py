@@ -1,18 +1,19 @@
-"""Exact multivariate polynomials over the rationals.
+"""Exact polynomials for the deduction engine's equations.
 
 The unknowns are values of a multiplicative function at prime-power sites
 p^e, and each unknown is its site: a plain ``int``, displayed ``x{site}``.
-Every equation the deduction engine manipulates is a ``Poly`` required to
-equal zero, so all arithmetic here is exact (``fractions.Fraction``) and
-every operation returns a canonical form: no zero coefficients, monomials
-ordered degree-lexicographically by site.
+Every equation is a ``Poly`` required to equal zero.  The engine builds
+f(n) - f(a_1^2) - ... - f(a_k^2) with ``minus_sum`` and eliminates with
+``substitute_poly``, each one accumulation into a single term dict.  All
+arithmetic is exact (``fractions.Fraction``) and every result is canonical:
+no zero coefficients, monomials ordered degree-lexicographically by site.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 Rational = Fraction
 
@@ -45,7 +46,7 @@ class Poly:
         cleaned: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
                 if c:
                     cleaned[mono] = c
         object.__setattr__(self, "terms", cleaned)
@@ -69,9 +70,6 @@ class Poly:
             raise ValueError(f"not a constant: {self}")
         return self.terms.get((), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
     # -- structure ---------------------------------------------------
 
     def symbols(self) -> set[int]:
@@ -83,15 +81,8 @@ class Poly:
     def total_degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
 
-    def degree_in(self, symbol: int) -> int:
-        return max((m.count(symbol) for m in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]))
-
-    def key(self) -> tuple:
-        """Canonical hashable form; equal polynomials have equal keys."""
-        return tuple((m, c) for m, c in self.sorted_terms())
 
     # -- arithmetic --------------------------------------------------
 
@@ -111,8 +102,6 @@ class Poly:
             terms[mono] = terms.get(mono, Fraction(0)) + coeff
         return Poly(terms)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
 
@@ -121,12 +110,6 @@ class Poly:
         if rhs is None:
             return NotImplemented
         return self + (-rhs)
-
-    def __rsub__(self, other) -> "Poly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
 
     def __mul__(self, other) -> "Poly":
         rhs = self._coerce(other)
@@ -141,28 +124,12 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative power")
-        result = Poly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, Poly):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.key())
 
     # -- substitution and evaluation ----------------------------------
 
@@ -186,15 +153,28 @@ class Poly:
 
     def substitute_poly(self, symbol: int, replacement: "Poly") -> "Poly":
         """Replace ``symbol`` by an arbitrary polynomial."""
-        out = Poly()
+        powers = [Poly.const(1)]  # replacement**i, built as needed
+        terms: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             count = mono.count(symbol)
+            if not count:
+                terms[mono] = terms.get(mono, 0) + coeff
+                continue
             rest = tuple(s for s in mono if s != symbol)
-            piece = Poly({rest: coeff})
-            if count:
-                piece = piece * replacement**count
-            out = out + piece
-        return out
+            while len(powers) <= count:
+                powers.append(powers[-1] * replacement)
+            for m, c in powers[count].terms.items():
+                m = _merge(rest, m)
+                terms[m] = terms.get(m, 0) + coeff * c
+        return Poly(terms)
+
+    def minus_sum(self, parts: Iterable["Poly"]) -> "Poly":
+        """``self`` minus every poly in ``parts``: f(n) - f(a_1^2) - ... ."""
+        terms = dict(self.terms)
+        for part in parts:
+            for mono, coeff in part.terms.items():
+                terms[mono] = terms.get(mono, 0) - coeff
+        return Poly(terms)
 
     def evaluate(self, values: Mapping[int, Scalar]) -> Fraction:
         total = Fraction(0)
@@ -218,8 +198,7 @@ class Poly:
         c = self.terms.get((s,))
         if not c:
             return None
-        d = self.constant_term()
-        return (s, -d / c)
+        return (s, -self.terms.get((), 0) / c)
 
     def solve_for(self, symbol: int) -> Optional["Poly"]:
         """Solve for ``symbol`` when its coefficient is a nonzero constant.
@@ -245,11 +224,8 @@ class Poly:
         if len(syms) != 1:
             return None
         (s,) = syms
-        degree = self.degree_in(s)
-        coeffs = [Fraction(0)] * (degree + 1)
+        coeffs = [Fraction(0)] * (self.total_degree() + 1)
         for mono, coeff in self.terms.items():
-            if any(sym != s for sym in mono):
-                return None
             coeffs[len(mono)] += coeff
         return s, coeffs
 

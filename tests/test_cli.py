@@ -263,6 +263,20 @@ class TestVerify:
         assert err.startswith("usage error:")
         assert "Traceback" not in err
 
+    # every site <= 10 is present, so only the extra key can be at fault;
+    # "6" would be an unchecked claim f(6) = 7 against f(2) f(3) = 6
+    @pytest.mark.parametrize("key", ["6", "0", "-3", "1", "2^-1"])
+    def test_non_site_key_is_a_usage_error(self, capsys, tmp_path, key):
+        table = {str(k): str(v) for k, v in identity_table(10).items()}
+        table[key] = "7"
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(table))
+        code, out, err = invoke(["verify", "3", "10", "--table", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert repr(key) in err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestSearch2:
     def test_witness_round_trips_through_verify(self, capsys, tmp_path):
@@ -303,6 +317,8 @@ class TestUsage:
             "repr 10 3 --cap 0",
             "deduce 3 20 --max-branches 0",
             "exceptions 2 50",
+            "search2 100 --site-bound -5",
+            "search2 100 --site-bound 0",
         ],
     )
     def test_out_of_range_is_a_usage_error(self, capsys, argv):
