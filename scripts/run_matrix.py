@@ -69,7 +69,7 @@ def main() -> int:
 
     for k in range(4, 13):
         start = time.time()
-        got = list(exceptional_set(k, exc_bound).members)
+        got = list(exceptional_set(k, exc_bound))
         ok = got == dubouis_reference_set(k, exc_bound)
         failures += not ok
         print(

@@ -9,7 +9,6 @@ classical representability facts the argument rests on.
 """
 
 from .arith import (
-    Factorization,
     PartialFunction,
     SiteConflictError,
     factorize,
@@ -36,7 +35,6 @@ from .engine import (
 )
 from .poly import Poly, Rational
 from .squares import (
-    ExceptionalSet,
     dubouis_reference_set,
     enumerate_representations,
     exceptional_set,
@@ -52,8 +50,6 @@ __all__ = [
     "DeductionTrace",
     "EngineBudget",
     "Equation",
-    "ExceptionalSet",
-    "Factorization",
     "Forced",
     "IncompleteTableError",
     "PartialFunction",

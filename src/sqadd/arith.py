@@ -9,7 +9,6 @@ factors; f(1) = 1 is built in (multiplicative and not identically zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -21,25 +20,13 @@ class SiteConflictError(ValueError):
     """A site was assigned two different values: engine bug or bad branch."""
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization with strictly ascending primes; () encodes 1."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        n = 1
-        for p, e in self.pairs:
-            n *= p**e
-        return n
-
-
 # Trial division with a 2,3,5 wheel; arguments stay small (<= ~10^7).
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
 @lru_cache(maxsize=1 << 18)
-def factorize(n: int) -> Factorization:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) pairs of n with strictly ascending primes; () encodes 1."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     pairs: list[tuple[int, int]] = []
@@ -64,16 +51,58 @@ def factorize(n: int) -> Factorization:
         i = (i + 1) & 7
     if m > 1:
         pairs.append((m, 1))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
+
+
+# Sites are below 2^64.  Miller-Rabin with the primes up to 37 as bases has
+# no strong pseudoprime below 3.1 * 10^23, so the test below is exact there.
+SITE_LIMIT = 1 << 64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_prime_power(n: int) -> bool:
-    return len(factorize(n).pairs) == 1
+    """Whether n = p^e with p prime and e >= 1, for n < SITE_LIMIT.
+
+    The cost grows with the digits of n, not with its size: each candidate
+    exponent e gives one integer root to test for primality.
+    """
+    if n >= SITE_LIMIT:
+        raise ValueError(f"{n} is not below 2^64")
+    if n < 2:
+        return False
+    if _is_prime(n):
+        return True
+    for e in range(2, n.bit_length()):
+        # the root is below 2^32, so the float is within 1/2 of it
+        root = round(n ** (1 / e))
+        if root**e == n and _is_prime(root):
+            return True
+    return False
 
 
 def prime_power_split(n: int) -> tuple[int, int]:
     """(p, e) for a prime power n."""
-    pairs = factorize(n).pairs
+    pairs = factorize(n)
     if len(pairs) != 1:
         raise ValueError(f"{n} is not a prime power")
     return pairs[0]
@@ -168,7 +197,7 @@ class PartialFunction:
             return Poly.const(1)
         coeff = Fraction(1)
         mono: list[int] = []
-        for p, e in factorize(n).pairs:
+        for p, e in factorize(n):
             site = p**e
             value = self.ensure_site(site)
             if value is None:
@@ -185,7 +214,7 @@ class PartialFunction:
         coeff = Fraction(1)
         mono: list[int] = []
         missing: list[int] = []
-        for p, e in factorize(n).pairs:
+        for p, e in factorize(n):
             site = p**e
             if site not in self._entries:
                 missing.append(site)
@@ -205,7 +234,7 @@ class PartialFunction:
         if n == 1:
             return Fraction(1)
         acc = Fraction(1)
-        for p, e in factorize(n).pairs:
+        for p, e in factorize(n):
             value = self._entries.get(p**e)
             if value is None:
                 return None

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import engine
-from .arith import is_prime_power
+from .arith import SITE_LIMIT, is_prime_power
 from .cache import sieve_with_cache
 from .engine import (
     BudgetExhausted,
@@ -66,13 +66,23 @@ def _int_at_least(low: int):
 
 
 def _parse_site(text: str) -> int:
-    """A table key, "q" or "p^e", naming a prime-power site; UsageError otherwise."""
-    base, caret, exponent = text.partition("^")
+    """A table key, "q" or "p^e", naming a prime-power site; UsageError otherwise.
+
+    A site must be below 2^64, so that checking a key stays cheap.
+    """
+    head, caret, tail = text.partition("^")
     try:
-        site = int(base) ** int(exponent) if caret else int(base)
+        base, exponent = int(head), int(tail) if caret else 1
     except ValueError:
-        site = None
-    if not isinstance(site, int) or site < 2 or not is_prime_power(site):
+        base, exponent = 0, 1
+    # |base|^e >= 2^(e * (bit_length - 1)), so a huge power is refused untaken
+    if exponent >= 1 and (
+        exponent * (abs(base).bit_length() - 1) >= 64
+        or abs(base) ** exponent >= SITE_LIMIT
+    ):
+        raise UsageError(f"table key {text!r} is out of range: a site is below 2^64")
+    site = base**exponent if exponent >= 1 else 0
+    if site < 2 or not is_prime_power(site):
         raise UsageError(f"table key {text!r} is not a prime-power site")
     return site
 
@@ -120,8 +130,8 @@ def _cmd_exceptions(args: argparse.Namespace) -> int:
         members = hurwitz_exceptions(bound)
         reference = hurwitz_reference_set(bound)
     else:
-        sieve, _ = sieve_with_cache(k, bound, args.cache_dir)
-        members = list(exceptional_set(k, bound, sieve).members)
+        level = sieve_with_cache(k, bound, args.cache_dir)
+        members = list(exceptional_set(k, bound, level))
         reference = dubouis_reference_set(k, bound) if k >= 4 else None
     match = reference is None or members == reference
     if args.fmt == "json":
@@ -221,12 +231,21 @@ def _cmd_deduce(args: argparse.Namespace) -> int:
 
 def _load_table(path: Path) -> dict[int, Fraction]:
     try:
-        raw = json.loads(Path(path).read_text())
+        # an object becomes its tuple of (key, value) pairs, repeats kept
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=tuple)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read table {path}: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(raw, tuple):
         raise UsageError("table file must be a JSON object of site: value")
-    return {_parse_site(site): parse_rational(value) for site, value in raw.items()}
+    table: dict[int, Fraction] = {}
+    keys: dict[int, str] = {}
+    for key, value in raw:
+        site = _parse_site(key)
+        if site in keys:
+            raise UsageError(f"table keys {keys[site]!r} and {key!r} both name site {site}")
+        keys[site] = key
+        table[site] = parse_rational(value)
+    return table
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

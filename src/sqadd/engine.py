@@ -712,8 +712,8 @@ def _explore(
     k: int,
     bound: int,
     budget: EngineBudget,
-) -> tuple[list[BranchState], list[BranchState], DeductionTrace]:
-    """Branch-and-prune search; returns survivors, pruned, merged trace.
+) -> tuple[list[BranchState], DeductionTrace]:
+    """Branch-and-prune search; returns the surviving branches and the trace.
 
     Depth first: a branch's log joins the trace before its children's, so
     the trace lists branches in pre-order.
@@ -726,12 +726,12 @@ def _explore(
     counter = _Counter(budget.max_steps)
     branch_total = 1
     survivors: list[BranchState] = []
-    pruned: list[BranchState] = []
     steps: list[TraceStep] = []
 
     def leaf(branch: BranchState) -> None:
         steps.extend(branch.log)
-        (pruned if branch.status == CONTRADICTION else survivors).append(branch)
+        if branch.status != CONTRADICTION:
+            survivors.append(branch)
 
     def explore(branch: BranchState) -> None:
         nonlocal branch_total
@@ -772,7 +772,7 @@ def _explore(
     explore(root)
     for i, step in enumerate(steps):
         step.index = i
-    return survivors, pruned, DeductionTrace(steps)
+    return survivors, DeductionTrace(steps)
 
 
 def _identity_prefix(branches: list[BranchState], bound: int) -> tuple[int, Optional[int]]:
@@ -803,7 +803,7 @@ def run_uniqueness(
     if bound < k:
         raise ValueError(f"bound must be >= k, got {bound}")
     budget = budget or EngineBudget()
-    survivors, _, trace = _explore(k, bound, budget)
+    survivors, trace = _explore(k, bound, budget)
     if not survivors:
         return Verdict(AllBranchesContradict(), trace)
     prefix, first_free = _identity_prefix(survivors, bound)
@@ -861,7 +861,7 @@ def verify_assignment(
         got = values.get(n)
         if got is None:
             acc = Fraction(1)
-            for p, e in factorize(n).pairs:
+            for p, e in factorize(n):
                 acc *= Fraction(table[p**e])
             values[n] = acc
             got = acc
@@ -907,7 +907,7 @@ def search_nonidentity(
     first passing table that differs from the identity, or None.
     """
     budget = budget or EngineBudget()
-    survivors, _, _ = _explore(k, bound, budget)
+    survivors, _ = _explore(k, bound, budget)
     attempts = 0
     for branch in survivors:
         base = {site: Fraction(site) for site in prime_powers_upto(bound)}

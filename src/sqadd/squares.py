@@ -12,10 +12,9 @@ reference lists, which is the point of the whole module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 
 @lru_cache(maxsize=1 << 17)
@@ -94,34 +93,27 @@ def expressibility_sieve(k: int, bound: int) -> list[int]:
     return levels
 
 
-@dataclass(frozen=True)
-class ExceptionalSet:
-    """Integers up to a bound with no representation into k positive squares."""
-
-    k: int
-    bound: int
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.members, self.members[1:])):
-            raise ValueError("members must be strictly ascending")
-        if self.members and self.members[-1] > self.bound:
-            raise ValueError("member exceeds bound")
+def _clear_bits(level: int, bound: int, ns: Iterable[int]) -> Iterator[int]:
+    """The n in ns (each 0 <= n <= bound) whose bit in the level is clear."""
+    raw = level.to_bytes(bound // 8 + 1, "little")
+    return (n for n in ns if not raw[n >> 3] >> (n & 7) & 1)
 
 
 def exceptional_set(
-    k: int, bound: int, sieve: Optional[list[int]] = None
-) -> ExceptionalSet:
-    """All n <= bound that are not sums of k positive squares (batch sieve)."""
+    k: int, bound: int, level: Optional[int] = None
+) -> tuple[int, ...]:
+    """All n <= bound that are not sums of k positive squares, ascending.
+
+    `level` is level k of expressibility_sieve(k, bound) when the caller
+    already has it; otherwise the sieve is built here.
+    """
     if k < 3:
         raise ValueError(f"exceptional_set requires k >= 3, got {k}")
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    if sieve is None:
-        sieve = expressibility_sieve(k, bound)
-    level = sieve[k]
-    members = tuple(n for n in range(1, bound + 1) if not (level >> n) & 1)
-    return ExceptionalSet(k, bound, members)
+    if level is None:
+        level = expressibility_sieve(k, bound)[k]
+    return tuple(_clear_bits(level, bound, range(1, bound + 1)))
 
 
 def hurwitz_exceptions(bound: int) -> list[int]:
@@ -129,13 +121,8 @@ def hurwitz_exceptions(bound: int) -> list[int]:
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
     level = expressibility_sieve(3, bound)[3]
-    out = []
-    a = 1
-    while a * a <= bound:
-        if not (level >> (a * a)) & 1:
-            out.append(a * a)
-        a += 1
-    return out
+    squares = (a * a for a in range(1, isqrt(bound) + 1))
+    return list(_clear_bits(level, bound, squares))
 
 
 def hurwitz_reference_set(bound: int) -> list[int]:

@@ -40,7 +40,7 @@ def report(criterion: str, elapsed: float, detail: str = "") -> None:
 def test_criterion_1_dubouis_verification():
     start = time.time()
     for k in range(4, 13):
-        got = list(exceptional_set(k, 10_000).members)
+        got = list(exceptional_set(k, 10_000))
         assert got == dubouis_reference_set(k, 10_000), k
     elapsed = time.time() - start
     assert elapsed < 10.0
@@ -95,7 +95,7 @@ def test_criterion_3_uniqueness_at_desk_scale(k):
         if step.rule in ("assign", "derive", "branch") and "site" in step.output
     }
     for n in LEMMA_VALUES.get(k, []):
-        if len(factorize(n).pairs) == 1:
+        if len(factorize(n)) == 1:
             assert assigned.get(n) == str(n), (k, n)
     report(f"3 uniqueness k={k} N=200", elapsed, "forced, identity verified")
 

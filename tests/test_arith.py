@@ -1,14 +1,16 @@
 """Factorization and partial multiplicative function state."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from sqadd.arith import (
+    SITE_LIMIT,
     PartialFunction,
     SiteConflictError,
     factorize,
+    is_prime_power,
     prime_powers_upto,
 )
 from sqadd.poly import Poly
@@ -27,15 +29,15 @@ def spf_sieve(limit: int) -> list[int]:
 
 class TestFactorize:
     def test_examples(self):
-        assert factorize(12).pairs == ((2, 2), (3, 1))
-        assert factorize(1).pairs == ()
-        assert factorize(9991).pairs == ((97, 1), (103, 1))
+        assert factorize(12) == ((2, 2), (3, 1))
+        assert factorize(1) == ()
+        assert factorize(9991) == ((97, 1), (103, 1))
 
     def test_round_trip_to_1e5(self):
         spf = spf_sieve(100_000)
         for n in range(1, 100_001):
             fact = factorize(n)
-            assert fact.value() == n
+            assert prod(p**e for p, e in fact) == n
             # compare against the sieve-derived factorization
             m, pairs = n, []
             while m > 1:
@@ -45,14 +47,14 @@ class TestFactorize:
                     m //= p
                     e += 1
                 pairs.append((p, e))
-            assert fact.pairs == tuple(pairs), n
+            assert fact == tuple(pairs), n
 
     def test_primes_ascending_and_prime(self):
         def naive_prime(p):
             return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
         for n in (360, 9991, 77777, 2**10 * 3**4 * 41):
-            pairs = factorize(n).pairs
+            pairs = factorize(n)
             assert list(pairs) == sorted(pairs)
             assert all(naive_prime(p) for p, _ in pairs)
 
@@ -69,7 +71,23 @@ class TestPrimePowers:
 
     def test_all_entries_are_prime_powers(self):
         for site in prime_powers_upto(500):
-            assert len(factorize(site).pairs) == 1
+            assert len(factorize(site)) == 1
+
+    def test_is_prime_power_matches_factorize(self):
+        for n in range(-3, 20_000):
+            assert is_prime_power(n) == (n >= 1 and len(factorize(n)) == 1), n
+
+    def test_is_prime_power_large(self):
+        # strong pseudoprimes to the bases 2..7 and 2..23, a square of a
+        # prime near 2^32, and the largest prime below 2^64
+        assert not is_prime_power(3_215_031_751)
+        assert not is_prime_power(3_825_123_056_546_413_051)
+        assert is_prime_power(4_294_967_291**2)
+        assert not is_prime_power(4_294_967_291 * 4_294_967_279)
+        assert is_prime_power(3**40) and is_prime_power(2**63)
+        assert is_prime_power(18_446_744_073_709_551_557)
+        with pytest.raises(ValueError):
+            is_prime_power(SITE_LIMIT)
 
 
 class TestPartialFunction:

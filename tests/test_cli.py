@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from jsonschema import validate
@@ -274,6 +275,48 @@ class TestVerify:
         code, out, err = invoke(["verify", "3", "10", "--table", str(path)], capsys)
         assert code == EXIT_USAGE
         assert repr(key) in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    # the largest prime below 2^64 and a prime power given as "p^e" pass too
+    @pytest.mark.parametrize(
+        "key", ["1000000000000000003", "18446744073709551557", "3^40"]
+    )
+    def test_large_site_key_is_checked_quickly(self, capsys, tmp_path, key):
+        table = {str(k): str(v) for k, v in identity_table(10).items()}
+        table[key] = "7"
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(table))
+        start = time.perf_counter()
+        code, out, _ = invoke(["verify", "3", "10", "--table", str(path)], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK
+        assert out.startswith("ok")
+
+    @pytest.mark.parametrize("key", ["2^200000", "2^64", "18446744073709551616"])
+    def test_site_of_2_64_or_more_is_a_usage_error(self, capsys, tmp_path, key):
+        table = {str(k): str(v) for k, v in identity_table(10).items()}
+        table[key] = "7"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(table))
+        start = time.perf_counter()
+        code, out, err = invoke(["verify", "3", "10", "--table", str(path)], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_USAGE
+        assert repr(key) in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    # the second key claims the identity value; the first claims f(site) = 5
+    @pytest.mark.parametrize("first, second", [("2^4", "16"), ("2", "2"), ("-2^2", "4")])
+    def test_two_keys_for_one_site_is_a_usage_error(self, capsys, tmp_path, first, second):
+        pairs = [(str(s), str(v)) for s, v in identity_table(20).items() if str(s) != second]
+        pairs += [(first, "5"), (second, second)]
+        path = tmp_path / "repeat.json"
+        path.write_text("{" + ", ".join(f'"{k}": "{v}"' for k, v in pairs) + "}")
+        code, out, err = invoke(["verify", "3", "20", "--table", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert repr(first) in err and repr(second) in err
         assert "Traceback" not in err
         assert out == ""
 

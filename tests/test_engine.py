@@ -301,7 +301,7 @@ class TestRunUniqueness:
         # and every out-of-bound derived equation must give zero
         from sqadd.engine import _explore
 
-        survivors, _, _ = _explore(3, 60, EngineBudget())
+        survivors, _ = _explore(3, 60, EngineBudget())
         assert len(survivors) == 1
         branch = survivors[0]
         pf = branch.pf

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqadd.squares import (
-    ExceptionalSet,
     dubouis_reference_set,
     enumerate_representations,
     exceptional_set,
@@ -119,29 +118,30 @@ class TestExpressible:
 class TestExceptionalSets:
     def test_five_squares_bound_40(self):
         got = exceptional_set(5, 40)
-        assert got.members == (1, 2, 3, 4, 6, 7, 9, 10, 12, 15, 18, 33)
+        assert got == (1, 2, 3, 4, 6, 7, 9, 10, 12, 15, 18, 33)
 
     def test_four_squares_bound_50(self):
         got = exceptional_set(4, 50)
-        assert got.members == (1, 2, 3, 5, 6, 8, 9, 11, 14, 17, 24, 29, 32, 41)
+        assert got == (1, 2, 3, 5, 6, 8, 9, 11, 14, 17, 24, 29, 32, 41)
+        # the bound itself is the last member, so its bit is the top one read
+        assert exceptional_set(4, 41) == got
+        assert exceptional_set(4, 1) == (1,)
 
     def test_six_squares_bound_25(self):
         got = exceptional_set(6, 25)
-        assert got.members == (1, 2, 3, 4, 5, 7, 8, 10, 11, 13, 16, 19)
+        assert got == (1, 2, 3, 4, 5, 7, 8, 10, 11, 13, 16, 19)
 
     def test_agrees_with_per_n_search(self):
+        # bounds at, just below and past a byte edge of the bitmap
         for k in (3, 4, 5, 6):
-            batch = exceptional_set(k, 300)
-            slow = tuple(n for n in range(1, 301) if not is_expressible(n, k))
-            assert batch.members == slow
+            for bound in (1, 7, 8, 9, 300):
+                batch = exceptional_set(k, bound)
+                slow = tuple(n for n in range(1, bound + 1) if not is_expressible(n, k))
+                assert batch == slow, (k, bound)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             exceptional_set(2, 100)
-        with pytest.raises(ValueError):
-            ExceptionalSet(4, 10, (3, 3))
-        with pytest.raises(ValueError):
-            ExceptionalSet(4, 10, (11,))
 
 
 class TestDubouisReference:
@@ -173,10 +173,14 @@ class TestDubouisReference:
 
 class TestHurwitz:
     def test_bound_1100(self):
-        assert hurwitz_exceptions(1100) == [1, 4, 16, 25, 64, 100, 256, 400, 1024]
+        got = hurwitz_exceptions(1100)
+        assert got == [1, 4, 16, 25, 64, 100, 256, 400, 1024]
+        # the bound itself is the last member, so its bit is the top one read
+        assert hurwitz_exceptions(1024) == got
 
     def test_bound_3(self):
         assert hurwitz_exceptions(3) == [1]
+        assert hurwitz_exceptions(1) == [1]
 
     def test_matches_closed_form_to_10_4(self):
         assert hurwitz_exceptions(10_000) == hurwitz_reference_set(10_000)
