@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -65,23 +66,26 @@ def _int_at_least(low: int):
     return at_least
 
 
+# A table key: a plain ASCII decimal base, optionally "^" and an exponent.
+_SITE_KEY = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
+
+
 def _parse_site(text: str) -> int:
     """A table key, "q" or "p^e", naming a prime-power site; UsageError otherwise.
 
     A site must be below 2^64, so that checking a key stays cheap.
     """
-    head, caret, tail = text.partition("^")
+    match = _SITE_KEY.fullmatch(text)
+    if match is None:
+        raise UsageError(f"table key {text!r} is not a prime-power site")
     try:
-        base, exponent = int(head), int(tail) if caret else 1
-    except ValueError:
-        base, exponent = 0, 1
-    # |base|^e >= 2^(e * (bit_length - 1)), so a huge power is refused untaken
-    if exponent >= 1 and (
-        exponent * (abs(base).bit_length() - 1) >= 64
-        or abs(base) ** exponent >= SITE_LIMIT
-    ):
+        base, exponent = int(match[1]), int(match[2] or 1)
+    except ValueError:  # more digits than int() converts
+        raise UsageError(f"table key {text!r} is out of range: a site is below 2^64") from None
+    # base^e >= 2^(e * (bit_length - 1)), so a huge power is refused untaken
+    if exponent * (base.bit_length() - 1) >= 64 or base**exponent >= SITE_LIMIT:
         raise UsageError(f"table key {text!r} is out of range: a site is below 2^64")
-    site = base**exponent if exponent >= 1 else 0
+    site = base**exponent
     if site < 2 or not is_prime_power(site):
         raise UsageError(f"table key {text!r} is not a prime-power site")
     return site

@@ -417,6 +417,9 @@ def _attempt_derive(
     blockers: Counter[int] = Counter()
 
     def scan() -> Optional[tuple[Fraction, Equation, dict]]:
+        # pf is fixed during one scan: f(a^2) and the sites it is blocked
+        # on, by part a
+        parts_seen: dict[int, tuple[Optional[Poly], tuple[int, ...]]] = {}
         for e2 in range(e, max(e - 2, 1) - 1, -1):
             base = p**e2
             for m in range(1, DERIVE_MULTIPLIER_BOUND + 1):
@@ -432,13 +435,15 @@ def _attempt_derive(
                 for parts in enumerate_representations(n2, state.k, REPRESENTATION_CAP):
                     values: list[Poly] = []
                     for a in parts:
-                        part, missing = pf.peek(a * a)
-                        if part is None:
-                            blockers.update(missing)
-                            break
-                        extra = part.symbols() - allowed
-                        if extra:
-                            blockers.update(extra)
+                        seen = parts_seen.get(a)
+                        if seen is None:
+                            part, blocking = pf.peek(a * a)
+                            if part is not None:
+                                blocking = tuple(part.symbols() - allowed)
+                            seen = parts_seen[a] = (part, blocking)
+                        part, blocking = seen
+                        if blocking:
+                            blockers.update(blocking)
                             break
                         values.append(part)
                     if len(values) < len(parts):
@@ -491,7 +496,8 @@ def _attempt_derive(
 
 
 def _eliminate_work(state: BranchState) -> list[Poly]:
-    """Pending polynomials plus same-n cross differences, appended last.
+    """Pending polynomials plus same-n cross differences, appended last,
+    each scaled to a primitive integer row.
 
     Two representations of one n share the left evaluation, so the
     difference of their equations drops it (resultant-style with respect to
@@ -504,16 +510,16 @@ def _eliminate_work(state: BranchState) -> list[Poly]:
     for eq in state.pending:
         if eq is None or eq.poly.is_zero():
             continue
-        work.append(eq.poly)
+        work.append(eq.poly.primitive())
         if isinstance(eq.provenance, Additivity):
             n = eq.provenance.n
             lead = first_at_n.get(n)
             if lead is None:
                 first_at_n[n] = eq.poly
             else:
-                diff = lead - eq.poly
+                diff = lead.minus_sum((eq.poly,))
                 if not diff.is_zero():
-                    crosses.append(diff)
+                    crosses.append(diff.primitive())
     work.extend(crosses)
     return work
 
@@ -526,14 +532,16 @@ def eliminate(
     """Derive a univariate eliminant from the pending system, if any.
 
     Substitution closure over the pending equations and their same-n cross
-    differences: walking symbols from the highest site down, an equation
-    that defines a symbol as a degree-1 polynomial in other symbols (with a
-    constant coefficient) substitutes it away everywhere, at most
-    ELIMINANT_MAX_SUBSTITUTIONS per equation.  Every consequence that
-    collapses to one symbol with degree 1..ELIMINANT_MAX_DEGREE is
-    collected; the winner is the lowest-site symbol, breaking ties toward
-    the earliest equation in generation order, primitive-normalized.
-    Deterministic; None when the closure finds nothing within bounds.
+    differences, as integer rows: walking symbols from the highest site
+    down, a linear row in the symbol and at least one other (the fewest
+    others, then the earliest row) substitutes it away everywhere, at most
+    ELIMINANT_MAX_SUBSTITUTIONS per row.  Every consequence that collapses
+    to one symbol with degree 1..ELIMINANT_MAX_DEGREE is collected; the
+    winner is the lowest-site symbol, breaking ties toward the earliest
+    equation in generation order, primitive-normalized.  Scaling a row
+    changes none of these choices, so integer rows choose as rational rows
+    would.  Deterministic; None when the closure finds nothing within
+    bounds.
     """
     budget = budget or EngineBudget()
     counter = counter or _Counter(budget.max_steps)
@@ -577,14 +585,16 @@ def eliminate(
                 if idx in consumed:
                     continue
                 poly = work[idx]
-                if sym not in poly.symbols():
+                syms = poly.symbols()
+                if sym not in syms:
                     continue  # stale index entry
-                expr = poly.solve_for(sym)
-                if expr is not None and expr.total_degree() == 1:
-                    candidates.append((len(expr.symbols()), idx, expr))
+                # c*sym + r with r linear and free of sym
+                if len(syms) > 1 and poly.total_degree() == 1:
+                    candidates.append((len(syms), idx))
             if not candidates:
                 continue
-            _, source, expr = min(candidates, key=lambda c: c[:2])
+            _, source = min(candidates)
+            row = work[source]
             consumed.add(source)
             substituted.add(sym)
             changed = True
@@ -597,7 +607,7 @@ def eliminate(
                 if sub_counts[idx] >= ELIMINANT_MAX_SUBSTITUTIONS:
                     continue
                 counter.tick("elimination")
-                replaced = poly.substitute_poly(sym, expr)
+                replaced = poly.substitute_poly(sym, row)
                 sub_counts[idx] += 1
                 work[idx] = replaced
                 if replaced.is_zero():

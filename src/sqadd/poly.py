@@ -3,16 +3,20 @@
 The unknowns are values of a multiplicative function at prime-power sites
 p^e, and each unknown is its site: a plain ``int``, displayed ``x{site}``.
 Every equation is a ``Poly`` required to equal zero.  The engine builds
-f(n) - f(a_1^2) - ... - f(a_k^2) with ``minus_sum`` and eliminates with
-``substitute_poly``, each one accumulation into a single term dict.  All
-arithmetic is exact (``fractions.Fraction``) and every result is canonical:
-no zero coefficients, monomials ordered degree-lexicographically by site.
+f(n) - f(a_1^2) - ... - f(a_k^2) with ``minus_sum`` and folds known site
+values in with ``substitute``, in ``fractions.Fraction`` arithmetic.
+Elimination runs on integer rows: ``primitive`` scales an equation to
+integer coefficients with content 1, and ``substitute_poly`` eliminates a
+symbol from one row with another and returns such a row again, so the
+substitution closure builds no fraction.  All arithmetic is exact and every
+result is canonical: no zero coefficients, monomials ordered
+degree-lexicographically by site.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 Rational = Fraction
@@ -37,19 +41,25 @@ def _monomial_key(m: Monomial) -> tuple:
     return (len(m), m)
 
 
+def _times(a: Mapping[Monomial, Scalar], b: Mapping[Monomial, Scalar]) -> dict:
+    """Product of two term dicts; zero entries are left for Poly to drop."""
+    terms: dict[Monomial, Scalar] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = _merge(m1, m2)
+            terms[mono] = terms.get(mono, 0) + c1 * c2
+    return terms
+
+
 class Poly:
-    """Immutable multivariate polynomial with Fraction coefficients."""
+    """Immutable multivariate polynomial with int or Fraction coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[Monomial, Scalar]] = None):
-        cleaned: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if c:
-                    cleaned[mono] = c
-        object.__setattr__(self, "terms", cleaned)
+        self.terms: dict[Monomial, Scalar] = (
+            {mono: c for mono, c in terms.items() if c} if terms else {}
+        )
 
     # -- constructors ------------------------------------------------
 
@@ -65,7 +75,7 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
         return self.terms.get((), Fraction(0))
@@ -81,7 +91,7 @@ class Poly:
     def total_degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]))
 
     # -- arithmetic --------------------------------------------------
@@ -99,7 +109,7 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coeff in rhs.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            terms[mono] = terms.get(mono, 0) + coeff
         return Poly(terms)
 
     def __neg__(self) -> "Poly":
@@ -115,12 +125,7 @@ class Poly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in rhs.terms.items():
-                mono = _merge(m1, m2)
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return Poly(terms)
+        return Poly(_times(self.terms, rhs.terms))
 
     __rmul__ = __mul__
 
@@ -131,12 +136,12 @@ class Poly:
             return NotImplemented
         return self.terms == other.terms
 
-    # -- substitution and evaluation ----------------------------------
+    # -- substitution ----------------------------------------------------
 
     def substitute(self, symbol: int, value: Scalar) -> "Poly":
         """Replace every occurrence of ``symbol`` by a rational constant."""
         v = Fraction(value)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
             count = 0
             rest: list[int] = []
@@ -148,25 +153,42 @@ class Poly:
             c = coeff * v**count if count else coeff
             if c:
                 m = tuple(rest)
-                terms[m] = terms.get(m, Fraction(0)) + c
+                terms[m] = terms.get(m, 0) + c
         return Poly(terms)
 
-    def substitute_poly(self, symbol: int, replacement: "Poly") -> "Poly":
-        """Replace ``symbol`` by an arbitrary polynomial."""
-        powers = [Poly.const(1)]  # replacement**i, built as needed
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            count = mono.count(symbol)
+    def substitute_poly(self, symbol: int, source: "Poly") -> "Poly":
+        """Eliminate ``symbol`` from this integer row with the row c*symbol + r.
+
+        ``source`` is that row: integer coefficients, ``symbol`` only in the
+        term c*symbol.  With d the highest power of ``symbol`` here, the
+        result is c^d * self(symbol = -r/c) divided by its content, an
+        integer row again; it vanishes where self(symbol = -r/c) does.
+        """
+        c = source.terms[(symbol,)]
+        minus_r = {m: -v for m, v in source.terms.items() if m != (symbol,)}
+        counts = [mono.count(symbol) for mono in self.terms]
+        top = max(counts, default=0)
+        c_powers = [1]
+        for _ in range(top):
+            c_powers.append(c_powers[-1] * c)
+        r_powers: list[dict] = [{(): 1}]  # (-r)^j, built as needed
+        terms: dict[Monomial, int] = {}
+        for (mono, coeff), count in zip(self.terms.items(), counts):
+            coeff *= c_powers[top - count]
             if not count:
                 terms[mono] = terms.get(mono, 0) + coeff
                 continue
-            rest = tuple(s for s in mono if s != symbol)
-            while len(powers) <= count:
-                powers.append(powers[-1] * replacement)
-            for m, c in powers[count].terms.items():
+            i = mono.index(symbol)  # a monomial is sorted: its copies are adjacent
+            rest = mono[:i] + mono[i + count :]
+            while len(r_powers) <= count:
+                r_powers.append(_times(r_powers[-1], minus_r))
+            for m, v in r_powers[count].items():
                 m = _merge(rest, m)
-                terms[m] = terms.get(m, 0) + coeff * c
-        return Poly(terms)
+                terms[m] = terms.get(m, 0) + coeff * v
+        content = gcd(*terms.values())
+        if not content:
+            return Poly()
+        return Poly({m: v // content for m, v in terms.items()})
 
     def minus_sum(self, parts: Iterable["Poly"]) -> "Poly":
         """``self`` minus every poly in ``parts``: f(n) - f(a_1^2) - ... ."""
@@ -175,15 +197,6 @@ class Poly:
             for mono, coeff in part.terms.items():
                 terms[mono] = terms.get(mono, 0) - coeff
         return Poly(terms)
-
-    def evaluate(self, values: Mapping[int, Scalar]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            acc = coeff
-            for s in mono:
-                acc *= Fraction(values[s])
-            total += acc
-        return total
 
     # -- shape queries used by the engine ------------------------------
 
@@ -198,25 +211,7 @@ class Poly:
         c = self.terms.get((s,))
         if not c:
             return None
-        return (s, -self.terms.get((), 0) / c)
-
-    def solve_for(self, symbol: int) -> Optional["Poly"]:
-        """Solve for ``symbol`` when its coefficient is a nonzero constant.
-
-        Requires the poly to be c*symbol + rest with ``rest`` free of the
-        symbol; returns -rest/c, else None.
-        """
-        c = self.terms.get((symbol,))
-        if not c:
-            return None
-        rest: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            if mono == (symbol,):
-                continue
-            if symbol in mono:
-                return None
-            rest[mono] = -coeff / c
-        return Poly(rest)
+        return (s, Fraction(-self.terms.get((), 0)) / c)
 
     def univariate_coeffs(self) -> Optional[tuple[int, list[Fraction]]]:
         """Dense coefficients (c0..cd) when exactly one symbol occurs."""
@@ -233,17 +228,13 @@ class Poly:
         """Scale to coprime integer coefficients with positive leading term."""
         if not self.terms:
             return self
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator * den // c.denominator))
-        scale = Fraction(den, num) if num else Fraction(den)
-        lead = self.sorted_terms()[-1][1]
-        if lead < 0:
-            scale = -scale
-        return Poly({m: c * scale for m, c in self.terms.items()})
+        ratios = {m: c.as_integer_ratio() for m, c in self.terms.items()}
+        den = lcm(*(d for _, d in ratios.values()))
+        ints = {m: n * (den // d) for m, (n, d) in ratios.items()}
+        content = gcd(*ints.values())
+        if ints[max(ints, key=_monomial_key)] < 0:
+            content = -content
+        return Poly({m: v // content for m, v in ints.items()})
 
     # -- display -------------------------------------------------------
 

@@ -262,22 +262,27 @@ class TestRunUniqueness:
         assert a.trace.serialize() == b.trace.serialize()
 
     # sha256 of the serialized trace; pins the step order of the branch
-    # search.  (6, 140) leans on elimination, so it pins substitute_poly;
-    # it and (7, 42) match bench/baseline.json.
+    # search.  (3, 200) leans on coprime-multiple derivation, (5, 120) and
+    # (6, 140) on elimination (the integer-row substitution), and (7, 100)
+    # on both, with four splits; (6, 140) and (7, 42) match
+    # bench/baseline.json.
     @pytest.mark.parametrize(
         "k, bound, digest",
         [
             (3, 60, "ec76c7ff01e786bf78d710a189e5c2ca6808d296da670398d5d179f2e245a1c1"),
+            (3, 200, "c17522c47066589297523ac68baf8295c09026064625a76421d2fa5c284ec5ff"),
+            (5, 120, "6981f8cb79a3fe5e4116f062fca407949e49173630fdcdeccb93fb2977764a73"),
             (6, 60, "fb6d4942b734d50de64d0e6ba58cdf79595abadd11562762c8028c2bf0b63308"),
             (6, 140, "75215910828c1804ae61e05e6fb4a8d920a998b3605fa88614be8f7e2eb7bd80"),
             (7, 42, "fcf91932b40118ad2785dcb9de5b2133c61994ffd3e084939f258ecd8e6d67c7"),
+            (7, 100, "f78067a028e9f8c941978e636e582c6146ca9266d42a6d16054ce37ab0847a80"),
         ],
     )
     def test_trace_golden_digest(self, k, bound, digest):
         verdict = run_uniqueness(k, bound)
         text = verdict.trace.serialize()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
-        if k == 7:
+        if (k, bound) == (7, 42):
             assert verdict.outcome == Underdetermined(
                 free_sites=(2, 4, 5, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41),
                 witness_count=2,
@@ -285,6 +290,8 @@ class TestRunUniqueness:
                 first_free=2,
                 note="eliminant without rational roots; non-rational branches not explored",
             )
+        if k == 7:
+            assert verdict.kind == "underdetermined"
             assert sum(step.rule == "split" for step in verdict.trace.steps) == 4
         else:
             assert verdict.kind == "forced"

@@ -1,6 +1,7 @@
 """Ring laws and substitution behavior of the exact polynomial type."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,14 +85,64 @@ class TestSubstitution:
         right = a.substitute(X2, v) * b.substitute(X2, v)
         assert left == right
 
-    @given(polys(), polys())
-    def test_substitute_poly_matches_values(self, a, repl):
-        # replacing a symbol by a poly then evaluating equals evaluating late
-        values = {X2: Fraction(2), X4: Fraction(-1, 3), X9: Fraction(5, 2)}
-        composed = a.substitute_poly(X4, repl)
-        expected_values = dict(values)
-        expected_values[X4] = repl.evaluate(values)
-        assert composed.evaluate(values) == a.evaluate(expected_values)
+
+def fraction_substitute(p: Poly, symbol: int, value: Poly) -> Poly:
+    """Reference: p with ``symbol`` replaced by ``value``, in Fraction arithmetic."""
+    total = Poly()
+    for mono, coeff in p.terms.items():
+        term = Poly({tuple(s for s in mono if s != symbol): coeff})
+        for _ in range(mono.count(symbol)):
+            term = term * value
+        total = total + term
+    return total
+
+
+integer_polys = st.dictionaries(
+    monomials, st.integers(-6, 6), max_size=4
+).map(Poly)
+
+# r in a source row c*x4 + r: free of x4, linear as the engine's rows are,
+# or of higher degree, which the substitution allows as well
+rests = st.dictionaries(
+    st.lists(st.sampled_from([X2, X9]), max_size=2).map(lambda s: tuple(sorted(s))),
+    st.integers(-6, 6),
+    max_size=3,
+)
+
+
+class TestIntegerSubstitution:
+    @given(integer_polys, st.integers(-5, 5).filter(bool), rests)
+    def test_is_a_scaled_fraction_substitution(self, p, c, rest):
+        source = Poly({**rest, (X4,): c})
+        got = p.substitute_poly(X4, source)
+        # the rational reference: p at x4 = -r/c
+        expected = fraction_substitute(p, X4, Poly(rest) * Fraction(-1, c))
+        if expected.is_zero():
+            assert got.is_zero()
+            return
+        mono = next(iter(expected.terms))
+        factor = Fraction(got.terms.get(mono, 0), expected.terms[mono])
+        assert factor != 0
+        assert got == expected * factor
+        # primitive: integer coefficients with content 1
+        assert all(type(v) is int for v in got.terms.values())
+        assert gcd(*got.terms.values()) == 1
+
+    def test_example(self):
+        # x2*x4 - 6 with x4 = 3*x2 - 2 (the row -x4 + 3*x2 - 2), times c = -1
+        p = Poly({(X2, X4): 1, (): -6})
+        source = Poly({(X4,): -1, (X2,): 3, (): -2})
+        assert p.substitute_poly(X4, source) == Poly({(X2, X2): -3, (X2,): 2, (): 6})
+
+    def test_clears_denominators_and_content(self):
+        # x4^2 - 1 with x4 = x2/2: times c^2 = 4 gives x2^2 - 4
+        p = Poly({(X4, X4): 1, (): -1})
+        assert p.substitute_poly(X4, Poly({(X4,): 2, (X2,): -1})) == Poly(
+            {(X2, X2): 1, (): -4}
+        )
+        # 2*x4 + 2*x2 with x4 = x2 is 4*x2, content 4
+        p = Poly({(X4,): 2, (X2,): 2})
+        assert p.substitute_poly(X4, Poly({(X4,): 1, (X2,): -1})) == Poly({(X2,): 1})
 
 
 class TestMinusSum:
@@ -124,19 +175,16 @@ class TestCanonicalForm:
     def test_primitive_normalization(self):
         p = Poly({(X2, X2): 6, (X2,): -16, (): 8})
         assert p.primitive() == Poly({(X2, X2): 3, (X2,): -8, (): 4})
+        assert all(type(c) is int for c in p.primitive().terms.values())
         q = Poly({(X2,): Fraction(-1, 2), (): Fraction(3, 2)})
         assert q.primitive() == Poly({(X2,): 1, (): -3})
 
     def test_linear_solve(self):
         assert Poly({(X2,): 2, (): -6}).linear_solve() == (X2, Fraction(3))
+        # a value is a Fraction even when the coefficients are ints
+        assert type(Poly({(X2,): 4, (): -2}).linear_solve()[1]) is Fraction
         assert Poly({(X2,): 1, (X4,): 1}).linear_solve() is None
         assert Poly({(X2, X2): 1, (): -4}).linear_solve() is None
-
-    def test_solve_for(self):
-        p = Poly({(X4,): -1, (X2,): 3, (): -2})
-        assert p.solve_for(X4) == Poly({(X2,): 3, (): -2})
-        q = Poly({(X2, X4): 1, (): -6})
-        assert q.solve_for(X4) is None  # coefficient is x2, not constant
 
 
 class TestRationalExactness:
@@ -152,6 +200,4 @@ class TestRationalExactness:
         right = Fraction(a * d + c * b, b * d)
         assert left == right
         assert left.denominator >= 1
-        from math import gcd
-
         assert gcd(left.numerator, left.denominator) == 1
