@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .poly import Poly, Rational
+from .poly import Poly, Rational, Scalar
 
 
 class SiteConflictError(ValueError):
@@ -207,27 +207,37 @@ class PartialFunction:
         mono.sort()
         return Poly({tuple(mono): coeff})
 
-    def peek(self, n: int) -> tuple[Optional[Poly], tuple[int, ...]]:
-        """Like evaluate but never allocates; missing sites are reported."""
-        if n == 1:
-            return Poly.const(1), ()
-        coeff = Fraction(1)
-        mono: list[int] = []
+    def peek(self, n: int, site: int) -> tuple[Scalar, Scalar, tuple[int, ...]]:
+        """f(n) as A*x + B in x = f(site), and the sites that block it.
+
+        Never tracks a site.  ``blocking`` lists the untracked sites of n
+        if there are any, else its unknown sites other than ``site``; A and
+        B are meaningful only when it is empty.  A known factor 0 makes
+        f(n) = 0 whatever the unknowns: (0, 0, ()).
+        """
+        coeff: Scalar = 1
+        linear = False
         missing: list[int] = []
+        unknown: list[int] = []
         for p, e in factorize(n):
-            site = p**e
-            if site not in self._entries:
-                missing.append(site)
+            q = p**e
+            if q not in self._entries:
+                missing.append(q)
                 continue
-            value = self._entries[site]
-            if value is None:
-                mono.append(site)
-            else:
+            value = self._entries[q]
+            if value is not None:
                 coeff *= value
+            elif q == site:
+                linear = True
+            else:
+                unknown.append(q)
         if missing:
-            return None, tuple(missing)
-        mono.sort()
-        return Poly({tuple(mono): coeff}), ()
+            return 0, 0, tuple(missing)
+        if not coeff:
+            return 0, 0, ()
+        if unknown:
+            return 0, 0, tuple(unknown)
+        return (coeff, 0, ()) if linear else (0, coeff, ())
 
     def known_value(self, n: int) -> Optional[Fraction]:
         """f(n) when every site of n is known, else None."""

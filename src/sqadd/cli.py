@@ -174,6 +174,9 @@ def _trace_destination(args: argparse.Namespace) -> Path:
 
 def _cmd_deduce(args: argparse.Namespace) -> int:
     trace_path = _trace_destination(args)
+    for path in (args.out, trace_path):
+        if path is not None and path.is_dir():
+            raise UsageError(f"{path} is a directory")
     if trace_path.exists() and not args.force:
         print(
             f"error: {trace_path} exists; pass --force to overwrite",
@@ -239,6 +242,8 @@ def _load_table(path: Path) -> dict[int, Fraction]:
         raw = json.loads(Path(path).read_text(), object_pairs_hook=tuple)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read table {path}: {exc}") from exc
+    except RecursionError:
+        raise UsageError(f"cannot read table {path}: nested too deeply") from None
     if not isinstance(raw, tuple):
         raise UsageError("table file must be a JSON object of site: value")
     table: dict[int, Fraction] = {}

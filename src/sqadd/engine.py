@@ -23,7 +23,7 @@ from .arith import (
     prime_power_split,
     prime_powers_upto,
 )
-from .poly import Poly, Rational, symbol_name
+from .poly import Poly, Rational, Scalar, symbol_name
 from .squares import enumerate_representations
 
 # All representations of one n when their count is at most this, else the
@@ -267,14 +267,6 @@ def generate_equations(k: int, bound: int, pf: PartialFunction) -> list[Equation
 # Propagation
 
 
-def _fold(poly: Poly, pf: PartialFunction) -> Poly:
-    for site in poly.symbols():
-        value = pf.known(site)
-        if value is not None:
-            poly = poly.substitute(site, value)
-    return poly
-
-
 def propagate(
     state: BranchState,
     budget: Optional[EngineBudget] = None,
@@ -333,7 +325,7 @@ def propagate(
             if eq is None:
                 continue
             counter.tick()
-            folded = _fold(eq.poly, state.pf)
+            folded = eq.poly.substitute(state.pf.known)
             if folded is not eq.poly:
                 eq = Equation(folded, eq.provenance)
                 pending[i] = eq
@@ -413,13 +405,12 @@ def _attempt_derive(
     p, e = prime_power_split(site)
     # Sites beyond the generation bound are untracked until targeted here.
     pf.ensure_site(site)
-    allowed = {site}
     blockers: Counter[int] = Counter()
 
     def scan() -> Optional[tuple[Fraction, Equation, dict]]:
-        # pf is fixed during one scan: f(a^2) and the sites it is blocked
-        # on, by part a
-        parts_seen: dict[int, tuple[Optional[Poly], tuple[int, ...]]] = {}
+        # Every instance is linear in x = f(site).  pf is fixed during one
+        # scan: f(a^2) = A*x + B and the sites it is blocked on, by part a
+        parts_seen: dict[int, tuple[Scalar, Scalar, tuple[int, ...]]] = {}
         for e2 in range(e, max(e - 2, 1) - 1, -1):
             base = p**e2
             for m in range(1, DERIVE_MULTIPLIER_BOUND + 1):
@@ -428,41 +419,35 @@ def _attempt_derive(
                 n2 = m * base
                 if n2 <= state.bound:
                     continue
-                left, missing = pf.peek(n2)
-                if left is None or not left.symbols() <= allowed:
+                left_a, left_b, blocking = pf.peek(n2, site)
+                if blocking:
                     continue
                 counter.tick("derivation")
                 for parts in enumerate_representations(n2, state.k, REPRESENTATION_CAP):
-                    values: list[Poly] = []
                     for a in parts:
                         seen = parts_seen.get(a)
                         if seen is None:
-                            part, blocking = pf.peek(a * a)
-                            if part is not None:
-                                blocking = tuple(part.symbols() - allowed)
-                            seen = parts_seen[a] = (part, blocking)
-                        part, blocking = seen
-                        if blocking:
-                            blockers.update(blocking)
+                            seen = parts_seen[a] = pf.peek(a * a, site)
+                        if seen[2]:
+                            blockers.update(seen[2])
                             break
-                        values.append(part)
-                    if len(values) < len(parts):
-                        continue
-                    poly = left.minus_sum(values)
-                    if poly.is_zero():
-                        continue
-                    prov = Multiplicativity(n2, m, base)
-                    if poly.is_constant():
-                        # A valid instance folded to a nonzero constant:
-                        # the branch is inconsistent.
-                        state.contradict(Equation(poly, prov))
-                        return None
-                    solved = poly.linear_solve()
-                    if solved is None or solved[0] != site:
-                        continue
-                    inputs = provenance_fields(prov)
-                    inputs["parts"] = list(parts)
-                    return solved[1], Equation(poly, prov), inputs
+                    else:  # no part blocked: the instance is coeff*x + const
+                        coeff, const = left_a, left_b
+                        for a in parts:
+                            part_a, part_b, _ = parts_seen[a]
+                            coeff -= part_a
+                            const -= part_b
+                        prov = Multiplicativity(n2, m, base)
+                        if coeff:
+                            inputs = provenance_fields(prov)
+                            inputs["parts"] = list(parts)
+                            equation = Equation(Poly({(site,): coeff, (): const}), prov)
+                            return Fraction(-const) / coeff, equation, inputs
+                        if const:
+                            # A valid instance folded to a nonzero constant:
+                            # the branch is inconsistent.
+                            state.contradict(Equation(Poly({(): const}), prov))
+                            return None
         return None
 
     found = scan()

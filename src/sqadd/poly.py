@@ -3,8 +3,9 @@
 The unknowns are values of a multiplicative function at prime-power sites
 p^e, and each unknown is its site: a plain ``int``, displayed ``x{site}``.
 Every equation is a ``Poly`` required to equal zero.  The engine builds
-f(n) - f(a_1^2) - ... - f(a_k^2) with ``minus_sum`` and folds known site
-values in with ``substitute``, in ``fractions.Fraction`` arithmetic.
+f(n) - f(a_1^2) - ... - f(a_k^2) with ``minus_sum``, and ``substitute``
+folds every known site value into an equation in one pass over its terms,
+in ``fractions.Fraction`` arithmetic.
 Elimination runs on integer rows: ``primitive`` scales an equation to
 integer coefficients with content 1, and ``substitute_poly`` eliminates a
 symbol from one row with another and returns such a row again, so the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 Rational = Fraction
 
@@ -138,23 +139,27 @@ class Poly:
 
     # -- substitution ----------------------------------------------------
 
-    def substitute(self, symbol: int, value: Scalar) -> "Poly":
-        """Replace every occurrence of ``symbol`` by a rational constant."""
-        v = Fraction(value)
+    def substitute(self, known: Callable[[int], Optional[Scalar]]) -> "Poly":
+        """Fold in every site whose value ``known(site)`` gives, in one pass.
+
+        ``known`` returns None for a site still unknown.  When no site of
+        this poly is known the result is ``self``, not a copy.
+        """
         terms: dict[Monomial, Scalar] = {}
+        folded = False
         for mono, coeff in self.terms.items():
-            count = 0
             rest: list[int] = []
             for s in mono:
-                if s == symbol:
-                    count += 1
-                else:
+                value = known(s)
+                if value is None:
                     rest.append(s)
-            c = coeff * v**count if count else coeff
-            if c:
+                else:
+                    coeff *= value
+                    folded = True
+            if coeff:
                 m = tuple(rest)
-                terms[m] = terms.get(m, 0) + c
-        return Poly(terms)
+                terms[m] = terms.get(m, 0) + coeff
+        return Poly(terms) if folded else self
 
     def substitute_poly(self, symbol: int, source: "Poly") -> "Poly":
         """Eliminate ``symbol`` from this integer row with the row c*symbol + r.

@@ -19,19 +19,28 @@ from typing import Iterable, Iterator, Optional
 
 @lru_cache(maxsize=1 << 17)
 def _part_tuples(n: int, k: int, cap: Optional[int]) -> tuple[tuple[int, ...], ...]:
+    if n < k:
+        return ()
+    if k == 1:
+        r = isqrt(n)
+        return ((r,),) if r * r == n else ()
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def rec(remaining: int, slots: int, lo: int) -> None:
-        if cap is not None and len(out) >= cap:
-            return
-        if slots == 1:
-            r = isqrt(remaining)
-            if r >= lo and r * r == remaining:
-                out.append(tuple(prefix) + (r,))
-            return
         # smallest remaining part v satisfies slots * v^2 <= remaining
         hi = isqrt(remaining // slots)
+        if slots == 2:
+            # the last two parts v <= w in one loop: w^2 = remaining - v^2
+            # is at least v^2, so w >= v
+            for v in range(lo, hi + 1):
+                rest = remaining - v * v
+                w = isqrt(rest)
+                if w * w == rest:
+                    out.append((*prefix, v, w))
+                    if cap is not None and len(out) >= cap:
+                        return
+            return
         for v in range(lo, hi + 1):
             prefix.append(v)
             rec(remaining - v * v, slots - 1, v)
@@ -39,8 +48,7 @@ def _part_tuples(n: int, k: int, cap: Optional[int]) -> tuple[tuple[int, ...], .
             if cap is not None and len(out) >= cap:
                 return
 
-    if n >= k:
-        rec(n, k, 1)
+    rec(n, k, 1)
     return tuple(out)
 
 

@@ -125,12 +125,42 @@ class TestPartialFunction:
         with pytest.raises(ValueError):
             PartialFunction().assign(12, 12)
 
-    def test_peek_never_allocates(self):
+    def test_peek_reports_untracked_sites_and_tracks_none(self):
         pf = PartialFunction()
-        poly, missing = pf.peek(18)
-        assert poly is None
-        assert missing == (2, 9)
-        assert len(pf) == 0
+        pf.assign(2, 2)
+        pf.ensure_site(9)
+        assert pf.peek(2 * 9 * 5, 9) == (0, 0, (5,))
+        assert pf.peek(4 * 9 * 5, 9) == (0, 0, (4, 5))
+        assert pf.peek(4 * 5 * 7, 9) == (0, 0, (4, 5, 7))
+        assert len(pf) == 2
+
+    def test_peek_unknown_site_other_than_site_blocks(self):
+        pf = PartialFunction()
+        pf.assign(2, 2)
+        for site in (3, 5, 7):
+            pf.ensure_site(site)
+        assert pf.peek(2 * 3 * 5 * 7, 3) == (0, 0, (5, 7))
+
+    def test_peek_is_linear_in_site(self):
+        pf = PartialFunction()
+        pf.assign(2, Fraction(1, 2))
+        pf.assign(5, 5)
+        pf.ensure_site(9)
+        # f(90) = f(2) f(9) f(5) = (5/2) x9, and f(10) = 5/2 has no x9
+        assert pf.peek(90, 9) == (Fraction(5, 2), 0, ())
+        assert pf.peek(10, 9) == (0, Fraction(5, 2), ())
+        assert pf.peek(1, 9) == (0, 1, ())
+
+    def test_peek_known_zero_folds_to_zero(self):
+        # f(2) = 0 makes f(2m) = 0 for odd m, whatever the unknowns of m
+        pf = PartialFunction()
+        pf.assign(2, 0)
+        pf.ensure_site(3)
+        pf.ensure_site(9)
+        assert pf.peek(2 * 3, 9) == (0, 0, ())
+        assert pf.peek(2 * 9, 9) == (0, 0, ())
+        # untracked sites are still reported first
+        assert pf.peek(2 * 5, 9) == (0, 0, (5,))
 
     def test_known_value(self):
         pf = PartialFunction()

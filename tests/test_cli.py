@@ -212,6 +212,16 @@ class TestDeduce:
         assert err.startswith("usage error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["out", "out.trace"])
+    def test_directory_out_is_refused_before_the_run(self, capsys, tmp_path, name):
+        (tmp_path / name).mkdir()
+        code, _, err = invoke(
+            ["deduce", "3", "10", "--out", str(tmp_path / "out"), "--force"], capsys
+        )
+        assert code == EXIT_USAGE
+        assert err == f"usage error: {tmp_path / name} is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
 
 class TestVerify:
     def test_ok_table(self, capsys, tmp_path):
@@ -263,6 +273,13 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert err.startswith("usage error:")
         assert "Traceback" not in err
+
+    def test_deeply_nested_value_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"2": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, _, err = invoke(["verify", "3", "10", "--table", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert err == f"usage error: cannot read table {path}: nested too deeply\n"
 
     # every site <= 10 is present, so only the extra key can be at fault;
     # "6" would be an unchecked claim f(6) = 7 against f(2) f(3) = 6.  A key

@@ -154,8 +154,8 @@ class TestEliminate:
         assert site == 2
         assert poly == Poly({(2, 2): 3, (2,): -8, (): 4})
         # oracle: expand and verify both quadratic-formula roots
-        assert poly.substitute(2, 2).is_zero()
-        assert poly.substitute(2, Fraction(2, 3)).is_zero()
+        assert poly.substitute({2: 2}.get).is_zero()
+        assert poly.substitute({2: Fraction(2, 3)}.get).is_zero()
 
     def test_padded_identities_eliminate_to_lemma6_quadratic(self):
         # k >= 6 equations from 20, 28, 40 padded with unit squares
@@ -256,6 +256,23 @@ class TestRunUniqueness:
         with pytest.raises(BudgetExhausted):
             run_uniqueness(5, 200, EngineBudget(max_steps=100))
 
+    # The exact step totals, one tick per equation folded in propagation,
+    # per multiple scanned in derivation and per substitution in
+    # elimination: a run fits in S steps and not in S - 1.
+    @pytest.mark.parametrize(
+        "run, steps",
+        [
+            (lambda budget: run_uniqueness(4, 200, budget), 738),
+            (lambda budget: run_uniqueness(7, 42, budget), 2172),
+            (lambda budget: search_nonidentity(2, 400, 20, budget), 4984),
+        ],
+        ids=["deduce-4-200", "deduce-7-42", "search2-400"],
+    )
+    def test_step_budget_is_exact(self, run, steps):
+        run(EngineBudget(max_steps=steps))
+        with pytest.raises(BudgetExhausted):
+            run(EngineBudget(max_steps=steps - 1))
+
     def test_trace_deterministic(self):
         a = run_uniqueness(3, 40)
         b = run_uniqueness(3, 40)
@@ -316,17 +333,11 @@ class TestRunUniqueness:
         for site in prime_powers_upto(60):
             fresh.ensure_site(site)
         for eq in generate_equations(3, 60, fresh):
-            total = eq.poly
-            for site in eq.poly.symbols():
-                total = total.substitute(site, pf.known(site))
-            assert total.is_zero(), eq.provenance
+            assert eq.poly.substitute(pf.known).is_zero(), eq.provenance
         assert branch.derived
         for eq in branch.derived:
-            total = eq.poly
-            for site in eq.poly.symbols():
-                assert pf.known(site) is not None
-                total = total.substitute(site, pf.known(site))
-            assert total.is_zero(), eq.provenance
+            assert all(pf.known(site) is not None for site in eq.poly.symbols())
+            assert eq.poly.substitute(pf.known).is_zero(), eq.provenance
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

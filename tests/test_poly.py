@@ -62,28 +62,42 @@ class TestSubstitution:
     def test_linear_example(self):
         # 3*x2 - 2 - x4 at x2 = 2 collapses to 4 - x4
         p = Poly({(X2,): 3, (): -2, (X4,): -1})
-        assert p.substitute(X2, 2) == Poly({(): 4, (X4,): -1})
+        assert p.substitute({X2: 2}.get) == Poly({(): 4, (X4,): -1})
 
     def test_product_example(self):
-        assert Poly({(X2, X4): 1}).substitute(X2, 0).is_zero()
+        assert Poly({(X2, X4): 1}).substitute({X2: 0}.get).is_zero()
 
     def test_quadratic_root_example(self):
         p = Poly({(X2, X2): 1, (X2,): -5, (): 4})
-        assert p.substitute(X2, 4).is_zero()
-        assert p.substitute(X2, 1).is_zero()
-        assert p.substitute(X2, 2) == Poly.const(-2)
+        assert p.substitute({X2: 4}.get).is_zero()
+        assert p.substitute({X2: 1}.get).is_zero()
+        assert p.substitute({X2: 2}.get) == Poly.const(-2)
+
+    def test_folds_every_known_site_at_once(self):
+        # x2*x4*x9 - x4^2 + 3*x9 at x2 = 2, x4 = 1/2: x9 - 1/4 + 3*x9
+        p = Poly({(X2, X4, X9): 1, (X4, X4): -1, (X9,): 3})
+        lookup = {X2: 2, X4: Fraction(1, 2)}.get
+        assert p.substitute(lookup) == Poly({(X9,): 4, (): Fraction(-1, 4)})
+
+    @given(polys())
+    def test_nothing_known_returns_self(self, a):
+        assert a.substitute({}.get) is a
+        assert a.substitute({X2: None}.get) is a
+
+    @given(polys(), rationals, rationals)
+    def test_one_pass_equals_site_by_site(self, a, u, v):
+        both = a.substitute({X2: u, X9: v}.get)
+        assert both == a.substitute({X2: u}.get).substitute({X9: v}.get)
 
     @given(polys(), polys(), rationals)
     def test_substitute_is_additive(self, a, b, v):
-        left = (a + b).substitute(X2, v)
-        right = a.substitute(X2, v) + b.substitute(X2, v)
-        assert left == right
+        known = {X2: v}.get
+        assert (a + b).substitute(known) == a.substitute(known) + b.substitute(known)
 
     @given(polys(), polys(), rationals)
     def test_substitute_is_multiplicative(self, a, b, v):
-        left = (a * b).substitute(X2, v)
-        right = a.substitute(X2, v) * b.substitute(X2, v)
-        assert left == right
+        known = {X2: v}.get
+        assert (a * b).substitute(known) == a.substitute(known) * b.substitute(known)
 
 
 def fraction_substitute(p: Poly, symbol: int, value: Poly) -> Poly:

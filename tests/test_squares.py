@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqadd.squares import (
+    _part_tuples,
     dubouis_reference_set,
     enumerate_representations,
     exceptional_set,
@@ -68,6 +69,15 @@ class TestEnumerate:
         full = enumerate_representations(n, k)
         capped = enumerate_representations(n, k, cap)
         assert capped == full[:cap]
+
+    @given(
+        n=st.integers(min_value=0, max_value=400),
+        k=st.integers(min_value=1, max_value=5),
+        cap=st.sampled_from([None, 1, 64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_part_tuples_match_brute_force(self, n, k, cap):
+        assert _part_tuples(n, k, cap) == tuple(brute_force_parts(n, k)[:cap])
 
     def test_invariants_exhaustive(self):
         # every returned representation has exactly k parts, all positive,
