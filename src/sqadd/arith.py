@@ -5,6 +5,8 @@ the assignment state maps each tracked site p^e to its known rational, or
 to None while f(p^e) is still an unknown; the unknown is the site itself.
 Evaluation at any n multiplies the entries of its coprime prime-power
 factors; f(1) = 1 is built in (multiplicative and not identically zero).
+A known value is kept as an ``int`` while it is integral, as it is on every
+branch the engine forces, and as a ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .poly import Poly, Rational, Scalar
+from .poly import Poly, Rational, Scalar, as_scalar
 
 
 class SiteConflictError(ValueError):
@@ -136,32 +138,36 @@ def prime_powers_upto(n: int) -> list[int]:
 class PartialFunction:
     """Assignment state of a multiplicative function on prime-power sites."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "revision")
 
     def __init__(self) -> None:
-        self._entries: dict[int, Optional[Fraction]] = {}
+        self._entries: dict[int, Optional[Scalar]] = {}
+        # bumped on every change of the entries: a new site or a new value
+        self.revision = 0
 
     def copy(self) -> "PartialFunction":
         dup = PartialFunction()
         dup._entries = dict(self._entries)
+        dup.revision = self.revision
         return dup
 
     # -- sites ---------------------------------------------------------
 
-    def ensure_site(self, site: int) -> Optional[Fraction]:
+    def ensure_site(self, site: int) -> Optional[Scalar]:
         """Known value of the site, tracking it as an unknown (None) if new."""
         if site not in self._entries:
             if not is_prime_power(site):
                 raise ValueError(f"{site} is not a prime power site")
             self._entries[site] = None
+            self.revision += 1
         return self._entries[site]
 
-    def known(self, site: int) -> Optional[Fraction]:
+    def known(self, site: int) -> Optional[Scalar]:
         return self._entries.get(site)
 
     def assigned_table(self, limit: Optional[int] = None) -> dict[int, Fraction]:
         return {
-            site: value
+            site: Fraction(value)
             for site, value in sorted(self._entries.items())
             if value is not None and (limit is None or site <= limit)
         }
@@ -177,7 +183,7 @@ class PartialFunction:
 
     def assign(self, site: int, value: Rational) -> None:
         """Record f(site) = value.  Idempotent; conflicting values raise."""
-        value = Fraction(value)
+        value = as_scalar(value)
         current = self._entries.get(site)
         if current is not None:
             if current != value:
@@ -188,14 +194,15 @@ class PartialFunction:
         if site not in self._entries and not is_prime_power(site):
             raise ValueError(f"{site} is not a prime power site")
         self._entries[site] = value
+        self.revision += 1
 
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, n: int) -> Poly:
         """Multiplicative evaluation as a polynomial in the unknown sites."""
         if n == 1:
-            return Poly.const(1)
-        coeff = Fraction(1)
+            return Poly({(): 1})
+        coeff: Scalar = 1
         mono: list[int] = []
         for p, e in factorize(n):
             site = p**e
@@ -239,11 +246,9 @@ class PartialFunction:
             return 0, 0, tuple(unknown)
         return (coeff, 0, ()) if linear else (0, coeff, ())
 
-    def known_value(self, n: int) -> Optional[Fraction]:
+    def known_value(self, n: int) -> Optional[Scalar]:
         """f(n) when every site of n is known, else None."""
-        if n == 1:
-            return Fraction(1)
-        acc = Fraction(1)
+        acc: Scalar = 1
         for p, e in factorize(n):
             value = self._entries.get(p**e)
             if value is None:

@@ -23,7 +23,7 @@ from .arith import (
     prime_power_split,
     prime_powers_upto,
 )
-from .poly import Poly, Rational, Scalar, symbol_name
+from .poly import Poly, Rational, Scalar, as_scalar, symbol_name
 from .squares import enumerate_representations
 
 # All representations of one n when their count is at most this, else the
@@ -162,7 +162,9 @@ class DeductionTrace:
 def parse_rational(text: str) -> Fraction:
     """Read "n" or "n/d", the form str(Fraction) writes; ValueError otherwise."""
     if not isinstance(text, str):
-        raise ValueError(f"rational must be a string such as '3' or '1/2', got {text!r}")
+        raise ValueError(
+            f"rational must be a string such as '3' or '1/2', got {type(text).__name__}"
+        )
     num, slash, den = text.partition("/")
     try:
         return Fraction(int(num), int(den) if slash else 1)
@@ -180,8 +182,10 @@ class _Counter:
         self.limit = limit
 
     def tick(self, what: str = "propagation", weight: int = 1) -> None:
+        """Spend ``weight`` steps; it raises where ``weight`` single ticks would."""
         self.steps += weight
         if self.steps > self.limit:
+            self.steps = self.limit + 1
             raise BudgetExhausted(what, self.steps)
 
 
@@ -378,10 +382,15 @@ def _derive_pass(
     the coprime-multiple argument the inductive proofs use.  The signature
     matches the other stages (state, budget, counter); the step budget is
     enforced through the counter.
+
+    A scan that finds nothing finds nothing again until the assignment state
+    changes, so within the pass its ticks and blockers are replayed from
+    ``failed``, keyed by site and ``pf.revision``.
     """
+    failed: dict[tuple[int, int], tuple[int, Counter[int]]] = {}
     for site in state.pf.unassigned_sites(limit=state.bound):
         outcome = _attempt_derive(
-            state, site, counter, apply_assignment,
+            state, site, counter, apply_assignment, failed,
             depth=DERIVE_DEPTH, visited={site},
         )
         if state.status == CONTRADICTION:
@@ -396,6 +405,7 @@ def _attempt_derive(
     site: int,
     counter: _Counter,
     apply_assignment: Callable[[int, Fraction, str, dict], bool],
+    failed: dict[tuple[int, int], tuple[int, Counter[int]]],
     depth: int,
     visited: set[int],
 ) -> bool:
@@ -407,7 +417,7 @@ def _attempt_derive(
     pf.ensure_site(site)
     blockers: Counter[int] = Counter()
 
-    def scan() -> Optional[tuple[Fraction, Equation, dict]]:
+    def scan(blocked: Counter[int]) -> Optional[tuple[Fraction, Equation, dict]]:
         # Every instance is linear in x = f(site).  pf is fixed during one
         # scan: f(a^2) = A*x + B and the sites it is blocked on, by part a
         parts_seen: dict[int, tuple[Scalar, Scalar, tuple[int, ...]]] = {}
@@ -429,7 +439,7 @@ def _attempt_derive(
                         if seen is None:
                             seen = parts_seen[a] = pf.peek(a * a, site)
                         if seen[2]:
-                            blockers.update(seen[2])
+                            blocked.update(seen[2])
                             break
                     else:  # no part blocked: the instance is coeff*x + const
                         coeff, const = left_a, left_b
@@ -450,7 +460,22 @@ def _attempt_derive(
                             return None
         return None
 
-    found = scan()
+    def scan_once() -> Optional[tuple[Fraction, Equation, dict]]:
+        """scan(), or the replay of its failure on this same state."""
+        key = (site, pf.revision)
+        if key in failed:
+            ticks, blocked = failed[key]
+            counter.tick("derivation", ticks)
+        else:
+            start, blocked = counter.steps, Counter()
+            found = scan(blocked)
+            if found is not None or state.status == CONTRADICTION:
+                return found
+            failed[key] = (counter.steps - start, blocked)
+        blockers.update(blocked)
+        return None
+
+    found = scan_once()
     if state.status == CONTRADICTION:
         return True
     if found is None and depth > 0:
@@ -460,11 +485,12 @@ def _attempt_derive(
                 continue
             visited.add(blocked_site)
             if _attempt_derive(
-                state, blocked_site, counter, apply_assignment, depth - 1, visited
+                state, blocked_site, counter, apply_assignment, failed,
+                depth - 1, visited,
             ):
                 if state.status == CONTRADICTION:
                     return True
-                found = scan()
+                found = scan_once()
                 if state.status == CONTRADICTION:
                     return True
                 if found is not None:
@@ -850,14 +876,15 @@ def verify_assignment(
     if missing:
         raise IncompleteTableError(missing)
 
-    values: dict[int, Fraction] = {1: Fraction(1)}
+    sites = {site: as_scalar(value) for site, value in table.items()}
+    values: dict[int, Scalar] = {}
 
-    def f(n: int) -> Fraction:
+    def f(n: int) -> Scalar:
         got = values.get(n)
         if got is None:
-            acc = Fraction(1)
+            acc: Scalar = 1
             for p, e in factorize(n):
-                acc *= Fraction(table[p**e])
+                acc *= sites[p**e]
             values[n] = acc
             got = acc
         return got

@@ -4,8 +4,9 @@ The unknowns are values of a multiplicative function at prime-power sites
 p^e, and each unknown is its site: a plain ``int``, displayed ``x{site}``.
 Every equation is a ``Poly`` required to equal zero.  The engine builds
 f(n) - f(a_1^2) - ... - f(a_k^2) with ``minus_sum``, and ``substitute``
-folds every known site value into an equation in one pass over its terms,
-in ``fractions.Fraction`` arithmetic.
+folds every known site value into an equation in one pass over its terms.
+Coefficients are ``int`` or ``Fraction``, which mix exactly and print
+alike; equations over integral site values stay in ``int`` arithmetic.
 Elimination runs on integer rows: ``primitive`` scales an equation to
 integer coefficients with content 1, and ``substitute_poly`` eliminates a
 symbol from one row with another and returns such a row again, so the
@@ -23,6 +24,12 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
+
+
+def as_scalar(value) -> Scalar:
+    """The rational ``value`` as an ``int`` when integral, else a Fraction."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def symbol_name(site: int) -> str:
@@ -218,13 +225,13 @@ class Poly:
             return None
         return (s, Fraction(-self.terms.get((), 0)) / c)
 
-    def univariate_coeffs(self) -> Optional[tuple[int, list[Fraction]]]:
+    def univariate_coeffs(self) -> Optional[tuple[int, list[Scalar]]]:
         """Dense coefficients (c0..cd) when exactly one symbol occurs."""
         syms = self.symbols()
         if len(syms) != 1:
             return None
         (s,) = syms
-        coeffs = [Fraction(0)] * (self.total_degree() + 1)
+        coeffs: list[Scalar] = [0] * (self.total_degree() + 1)
         for mono, coeff in self.terms.items():
             coeffs[len(mono)] += coeff
         return s, coeffs

@@ -188,3 +188,35 @@ class TestPartialFunction:
         dup.assign(2, 2)
         assert pf.known(2) is None
         assert dup.known(2) == Fraction(2)
+
+    def test_integral_value_is_kept_as_int(self):
+        pf = PartialFunction()
+        pf.assign(4, Fraction(4, 2))
+        pf.assign(3, Fraction(-3, 4))
+        assert type(pf.known(4)) is int and pf.known(4) == 2
+        assert type(pf.known(3)) is Fraction and pf.known(3) == Fraction(-3, 4)
+        # the same value given again as a Fraction is no conflict
+        pf.assign(4, Fraction(2))
+        assert all(type(c) is int for c in pf.evaluate(4 * 5).terms.values())
+        assert type(pf.known_value(4)) is int
+        # the table keeps its Fraction values
+        assert pf.assigned_table() == {3: Fraction(-3, 4), 4: Fraction(2)}
+        assert all(type(v) is Fraction for v in pf.assigned_table().values())
+
+    def test_revision_moves_on_every_change(self):
+        pf = PartialFunction()
+        seen = [pf.revision]
+        pf.ensure_site(5)  # a new site
+        seen.append(pf.revision)
+        pf.ensure_site(5)  # already tracked
+        assert pf.revision == seen[-1]
+        pf.assign(5, 5)  # a value for a tracked site: the size stays
+        seen.append(pf.revision)
+        pf.assign(5, 5)  # the same value again
+        assert pf.revision == seen[-1]
+        pf.assign(7, 7)  # a new site with its value
+        seen.append(pf.revision)
+        assert len(set(seen)) == len(seen)
+        dup = pf.copy()
+        dup.assign(9, 9)
+        assert dup.revision != pf.revision

@@ -281,6 +281,16 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert err == f"usage error: cannot read table {path}: nested too deeply\n"
 
+    def test_nested_value_error_names_its_type(self, capsys, tmp_path):
+        # parses, and its repr alone is 800 bytes: the message names the type
+        path = tmp_path / "nested.json"
+        path.write_text('{"2": ' + "[" * 400 + "]" * 400 + "}")
+        code, _, err = invoke(["verify", "3", "10", "--table", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 200
+        assert "got list" in err
+
     # every site <= 10 is present, so only the extra key can be at fault;
     # "6" would be an unchecked claim f(6) = 7 against f(2) f(3) = 6.  A key
     # is plain ASCII decimal digits, "q" or "p^e": int() would read "-2^2"

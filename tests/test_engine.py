@@ -19,6 +19,7 @@ from sqadd.engine import (
     Equation,
     IncompleteTableError,
     Underdetermined,
+    _Counter,
     eliminate,
     generate_equations,
     propagate,
@@ -241,6 +242,11 @@ class TestRunUniqueness:
         assert out.witness_count >= 1
         assert 3 in out.free_sites  # f(3) is unconstrained by two squares
 
+    def test_forced_table_and_witness_values_are_fractions(self):
+        # values are ints inside the engine; the tables it returns are not
+        for table in (run_uniqueness(3, 60).outcome.table, search_nonidentity(2, 10, 5)):
+            assert table and all(type(v) is Fraction for v in table.values())
+
     def test_forced_table_passes_model_check(self):
         verdict = run_uniqueness(4, 100)
         assert verdict.kind == "forced"
@@ -262,16 +268,48 @@ class TestRunUniqueness:
     @pytest.mark.parametrize(
         "run, steps",
         [
+            (lambda budget: run_uniqueness(3, 200, budget), 2533),
             (lambda budget: run_uniqueness(4, 200, budget), 738),
+            (lambda budget: run_uniqueness(5, 120, budget), 4026),
             (lambda budget: run_uniqueness(7, 42, budget), 2172),
             (lambda budget: search_nonidentity(2, 400, 20, budget), 4984),
         ],
-        ids=["deduce-4-200", "deduce-7-42", "search2-400"],
+        ids=["deduce-3-200", "deduce-4-200", "deduce-5-120", "deduce-7-42", "search2-400"],
     )
     def test_step_budget_is_exact(self, run, steps):
         run(EngineBudget(max_steps=steps))
         with pytest.raises(BudgetExhausted):
             run(EngineBudget(max_steps=steps - 1))
+
+    # A derivation scan that failed is replayed, not rerun, on the same
+    # state; the replay spends its ticks at once and must still stop at the
+    # first step over the budget, in the stage that step belongs to.
+    def test_weighted_tick_stops_where_single_ticks_would(self):
+        counter = _Counter(10)
+        counter.tick("derivation", 6)
+        with pytest.raises(BudgetExhausted) as err:
+            counter.tick("derivation", 6)
+        assert (err.value.what, err.value.spent) == ("derivation", 11)
+
+    def test_budget_stops_at_the_first_step_over(self):
+        for steps in range(100, 2172, 37):
+            with pytest.raises(BudgetExhausted) as err:
+                run_uniqueness(7, 42, EngineBudget(max_steps=steps))
+            assert err.value.spent == steps + 1, steps
+
+    @pytest.mark.parametrize(
+        "run, steps, what",
+        [
+            (lambda budget: run_uniqueness(7, 42, budget), 1500, "derivation"),
+            (lambda budget: run_uniqueness(7, 42, budget), 2000, "elimination"),
+            (lambda budget: search_nonidentity(2, 400, 20, budget), 4983, "derivation"),
+        ],
+        ids=["deduce-7-42-1500", "deduce-7-42-2000", "search2-400-4983"],
+    )
+    def test_budget_exhaustion_names_the_stage(self, run, steps, what):
+        with pytest.raises(BudgetExhausted) as err:
+            run(EngineBudget(max_steps=steps))
+        assert (err.value.what, err.value.spent) == (what, steps + 1)
 
     def test_trace_deterministic(self):
         a = run_uniqueness(3, 40)
@@ -394,6 +432,20 @@ class TestVerifyAssignment:
         with pytest.raises(IncompleteTableError) as err:
             verify_assignment(table, 3, 50)
         assert err.value.missing == [47, 49]
+
+    @pytest.mark.parametrize(
+        "f9, kinds",
+        [(9, (str, int, Fraction)), (1, (str, int, Fraction)), (Fraction(1, 2), (str, Fraction))],
+    )
+    def test_same_report_for_str_int_and_fraction_values(self, f9, kinds):
+        table = identity_table(40)
+        table[9] = Fraction(f9)
+        reports = [
+            verify_assignment({s: kind(v) for s, v in table.items()}, 3, 40)
+            for kind in kinds
+        ]
+        assert all(report == reports[0] for report in reports)
+        assert reports[0].ok is (f9 == 9)
 
 
 class TestSearchNonidentity:

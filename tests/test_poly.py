@@ -6,6 +6,7 @@ from math import gcd
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sqadd.engine import rational_roots
 from sqadd.poly import Poly
 
 # unknowns are their sites
@@ -199,6 +200,22 @@ class TestCanonicalForm:
         assert type(Poly({(X2,): 4, (): -2}).linear_solve()[1]) is Fraction
         assert Poly({(X2,): 1, (X4,): 1}).linear_solve() is None
         assert Poly({(X2, X2): 1, (): -4}).linear_solve() is None
+
+    def test_univariate_coeffs_of_an_int_row_are_ints(self):
+        row = Poly({(X2, X2): 3, (X2,): -8, (): 4})
+        assert row.univariate_coeffs() == (X2, [4, -8, 3])
+        assert all(type(c) is int for c in row.univariate_coeffs()[1])
+        # a constant coefficient that is absent is an int 0
+        _, coeffs = row.minus_sum([Poly({(): 4})]).univariate_coeffs()
+        assert coeffs == [0, -8, 3] and type(coeffs[0]) is int
+
+    @given(st.lists(st.integers(-12, 12), min_size=2, max_size=5))
+    def test_rational_roots_agree_for_int_and_fraction_rows(self, coeffs):
+        ints = Poly({(X2,) * i: c for i, c in enumerate(coeffs)})
+        if ints.is_constant():
+            return
+        fracs = Poly({m: Fraction(c) for m, c in ints.terms.items()})
+        assert rational_roots(ints) == rational_roots(fracs)
 
 
 class TestRationalExactness:
