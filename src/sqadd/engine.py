@@ -11,6 +11,7 @@ forced, with a replayable deduction trace.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -159,15 +160,21 @@ class DeductionTrace:
         return tables
 
 
+# A rational value: plain ASCII "n" or "n/d", the form str(Fraction) writes.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
     """Read "n" or "n/d", the form str(Fraction) writes; ValueError otherwise."""
     if not isinstance(text, str):
         raise ValueError(
             f"rational must be a string such as '3' or '1/2', got {type(text).__name__}"
         )
-    num, slash, den = text.partition("/")
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"rational {text!r} is not of the form n or n/d")
     try:
-        return Fraction(int(num), int(den) if slash else 1)
+        return Fraction(int(match[1]), int(match[2] or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -553,35 +560,38 @@ def eliminate(
     changes none of these choices, so integer rows choose as rational rows
     would.  Deterministic; None when the closure finds nothing within
     bounds.
+
+    The index maps each symbol to exactly the live rows that hold it: a
+    row leaves every list once it is a source, leaves a symbol's list when
+    a substitution removes the symbol (a row that vanishes leaves them
+    all), and joins the lists of the symbols it gains.
     """
     budget = budget or EngineBudget()
     counter = counter or _Counter(budget.max_steps)
     work = _eliminate_work(state)
-    if not work:
-        return None
-    occurs: dict[int, set[int]] = {}
-    for idx, poly in enumerate(work):
-        for sym in poly.symbols():
-            occurs.setdefault(sym, set()).add(idx)
-
+    counts = [0] * len(work)  # symbols in each row
+    occurs: dict[int, set[int]] = {}  # symbol -> the live rows holding it
     best: dict[int, tuple[int, Poly]] = {}
 
-    def consider(idx: int, poly: Poly) -> None:
-        uni = poly.univariate_coeffs()
-        if uni is None:
-            return
-        sym, coeffs = uni
-        if not 1 <= len(coeffs) - 1 <= ELIMINANT_MAX_DEGREE:
-            return
-        cur = best.get(sym)
-        if cur is None or idx < cur[0]:
-            best[sym] = (idx, poly)
+    def enter(idx: int, poly: Poly) -> None:
+        syms = poly.symbols()
+        work[idx] = poly
+        counts[idx] = len(syms)
+        for sym in syms:
+            occurs.setdefault(sym, set()).add(idx)
+        if len(syms) == 1 and 1 <= poly.total_degree() <= ELIMINANT_MAX_DEGREE:
+            (sym,) = syms
+            if sym not in best or idx < best[sym][0]:
+                best[sym] = (idx, poly)
+
+    def leave(idx: int) -> None:
+        for sym in work[idx].symbols():
+            occurs[sym].discard(idx)
 
     for idx, poly in enumerate(work):
-        consider(idx, poly)
+        enter(idx, poly)
 
     sub_counts = [0] * len(work)
-    consumed: set[int] = set()
     substituted: set[int] = set()
     universe = sorted(occurs, reverse=True)
 
@@ -591,42 +601,26 @@ def eliminate(
         for sym in universe:
             if sym in substituted:
                 continue
-            candidates = []
-            for idx in sorted(occurs.get(sym, ())):
-                if idx in consumed:
-                    continue
-                poly = work[idx]
-                syms = poly.symbols()
-                if sym not in syms:
-                    continue  # stale index entry
-                # c*sym + r with r linear and free of sym
-                if len(syms) > 1 and poly.total_degree() == 1:
-                    candidates.append((len(syms), idx))
+            # c*sym + r with r linear, free of sym and not constant
+            candidates = [
+                (counts[idx], idx)
+                for idx in occurs[sym]
+                if counts[idx] > 1 and work[idx].total_degree() == 1
+            ]
             if not candidates:
                 continue
             _, source = min(candidates)
             row = work[source]
-            consumed.add(source)
+            leave(source)
             substituted.add(sym)
             changed = True
             for idx in sorted(occurs[sym]):
-                if idx == source or idx in consumed:
-                    continue
-                poly = work[idx]
-                if sym not in poly.symbols():
-                    continue
                 if sub_counts[idx] >= ELIMINANT_MAX_SUBSTITUTIONS:
                     continue
                 counter.tick("elimination")
-                replaced = poly.substitute_poly(sym, row)
                 sub_counts[idx] += 1
-                work[idx] = replaced
-                if replaced.is_zero():
-                    consumed.add(idx)
-                    continue
-                for new_sym in replaced.symbols():
-                    occurs.setdefault(new_sym, set()).add(idx)
-                consider(idx, replaced)
+                leave(idx)
+                enter(idx, work[idx].substitute_poly(sym, row))
 
     if not best:
         return None
@@ -656,15 +650,10 @@ def rational_roots(poly: Poly) -> list[Fraction]:
         raise ValueError("zero polynomial has no well-defined root set")
     if poly.is_constant():
         return []
-    uni = poly.univariate_coeffs()
+    uni = poly.primitive().univariate_coeffs()
     if uni is None:
         raise ValueError(f"not univariate: {poly}")
-    _, coeffs = uni
-
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
+    _, ints = uni
 
     roots: set[Fraction] = set()
     while ints and ints[0] == 0:

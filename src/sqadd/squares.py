@@ -75,6 +75,11 @@ def is_expressible(n: int, k: int) -> bool:
     return bool(enumerate_representations(n, k, 1))
 
 
+# The largest bound the sieve takes: each level is a bitmap of bound + 1
+# bits, 12.5 MB at this ceiling.
+SIEVE_MAX_BOUND = 10**8
+
+
 def expressibility_sieve(k: int, bound: int) -> list[int]:
     """Bitmasks E[1..k]; bit n of E[j] set iff n is a sum of j positive squares.
 
@@ -83,6 +88,8 @@ def expressibility_sieve(k: int, bound: int) -> list[int]:
     """
     if k < 1 or bound < 1:
         raise ValueError("k and bound must be positive")
+    if bound > SIEVE_MAX_BOUND:
+        raise ValueError(f"bound {bound} is above the sieve's ceiling of {SIEVE_MAX_BOUND}")
     mask = (1 << (bound + 1)) - 1
     squares = 0
     a = 1

@@ -265,7 +265,10 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "missing" in err
 
-    @pytest.mark.parametrize("value", [2, "1/0", None, [1]])
+    # a value is plain ASCII "n" or "n/d", as keys are plain ASCII digits
+    @pytest.mark.parametrize(
+        "value", [2, "1/0", None, [1], "1_0", " 2", "2 ", "+3", "1/-2", "\u0663"]
+    )
     def test_malformed_value_is_a_usage_error(self, capsys, tmp_path, value):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps({"2": value}))
@@ -273,6 +276,17 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert err.startswith("usage error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "table, bound", [({"2": "1_0"}, "2"), ({"2": " 2", "3": "+3"}, "3")]
+    )
+    def test_complete_table_with_int_spellings_is_refused(self, capsys, tmp_path, table, bound):
+        # int() reads these as 10, 2 and 3; a complete table is checked, not refused
+        path = tmp_path / "spelled.json"
+        path.write_text(json.dumps(table))
+        code, out, err = invoke(["verify", "3", bound, "--table", str(path)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: rational ")
 
     def test_deeply_nested_value_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -393,6 +407,9 @@ class TestUsage:
             "exceptions 2 50",
             "search2 100 --site-bound -5",
             "search2 100 --site-bound 0",
+            # above the sieve's ceiling, refused before any bitmap is built
+            "exceptions 3 100000000000",
+            "exceptions 3 100000000000 --hurwitz",
         ],
     )
     def test_out_of_range_is_a_usage_error(self, capsys, argv):

@@ -22,6 +22,7 @@ from sqadd.engine import (
     _Counter,
     eliminate,
     generate_equations,
+    parse_rational,
     propagate,
     rational_roots,
     run_uniqueness,
@@ -271,10 +272,14 @@ class TestRunUniqueness:
             (lambda budget: run_uniqueness(3, 200, budget), 2533),
             (lambda budget: run_uniqueness(4, 200, budget), 738),
             (lambda budget: run_uniqueness(5, 120, budget), 4026),
+            (lambda budget: run_uniqueness(6, 140, budget), 9275),
             (lambda budget: run_uniqueness(7, 42, budget), 2172),
             (lambda budget: search_nonidentity(2, 400, 20, budget), 4984),
         ],
-        ids=["deduce-3-200", "deduce-4-200", "deduce-5-120", "deduce-7-42", "search2-400"],
+        ids=[
+            "deduce-3-200", "deduce-4-200", "deduce-5-120", "deduce-6-140", "deduce-7-42",
+            "search2-400",
+        ],
     )
     def test_step_budget_is_exact(self, run, steps):
         run(EngineBudget(max_steps=steps))
@@ -357,6 +362,12 @@ class TestRunUniqueness:
         deepest = max(tables.values(), key=len)
         for site, value in verdict.outcome.table.items():
             assert deepest[site] == value
+
+    @given(st.fractions())
+    @settings(max_examples=100, deadline=None)
+    def test_replay_reads_every_value_the_trace_writes(self, value):
+        # trace values are str(Fraction), negatives and "n/d" forms included
+        assert parse_rational(str(value)) == value
 
     def test_deduction_soundness_including_derived_equations(self):
         # substituting the final assignments into every generated equation

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqadd.squares import (
+    SIEVE_MAX_BOUND,
     _part_tuples,
     dubouis_reference_set,
     enumerate_representations,
@@ -114,6 +115,14 @@ class TestExpressible:
         for n in range(1, 500):
             for k in range(1, 8):
                 assert is_expressible(n, k) == bool(enumerate_representations(n, k, 1))
+
+    def test_bound_above_the_ceiling_is_refused_before_building(self):
+        # the refusal allocates nothing: the bitmap here would be 12.5 GB
+        for bound in (SIEVE_MAX_BOUND + 1, 10**11):
+            with pytest.raises(ValueError, match="ceiling"):
+                expressibility_sieve(3, bound)
+        with pytest.raises(ValueError, match="ceiling"):
+            hurwitz_exceptions(10**11)
 
     def test_monotone_padding(self):
         # n a sum of k positive squares implies n+1 is one of k+1
