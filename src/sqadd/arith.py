@@ -145,6 +145,15 @@ class PartialFunction:
         # bumped on every change of the entries: a new site or a new value
         self.revision = 0
 
+    @classmethod
+    def upto(cls, bound: int) -> "PartialFunction":
+        """Every prime-power site <= bound tracked as unknown, as ensure_site
+        would leave them; the sites are prime powers by construction."""
+        pf = cls()
+        pf._entries = dict.fromkeys(prime_powers_upto(bound))
+        pf.revision = len(pf._entries)
+        return pf
+
     def copy(self) -> "PartialFunction":
         dup = PartialFunction()
         dup._entries = dict(self._entries)

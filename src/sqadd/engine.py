@@ -565,6 +565,13 @@ def eliminate(
     row leaves every list once it is a source, leaves a symbol's list when
     a substitution removes the symbol (a row that vanishes leaves them
     all), and joins the lists of the symbols it gains.
+
+    A later copy of a row is a spare of its first copy and never enters the
+    index: copies receive the same substitutions, so a substitution ticks
+    once per copy, and the first copy wins every tie.  When a row becomes a
+    source its spares would be substituted by the row itself and vanish;
+    at the cap they are left alone, and the lowest spare lives on as an
+    ordinary row holding the rest.
     """
     budget = budget or EngineBudget()
     counter = counter or _Counter(budget.max_steps)
@@ -588,8 +595,17 @@ def eliminate(
         for sym in work[idx].symbols():
             occurs[sym].discard(idx)
 
+    spares: dict[int, list[int]] = {}  # first copy -> its later copies
+    buckets: dict[int, list[int]] = {}  # hash of the terms -> first copies
     for idx, poly in enumerate(work):
-        enter(idx, poly)
+        firsts = buckets.setdefault(hash(frozenset(poly.terms.items())), [])
+        first = next((i for i in firsts if work[i].terms == poly.terms), None)
+        if first is None:
+            firsts.append(idx)
+            enter(idx, poly)
+        else:
+            spares.setdefault(first, []).append(idx)
+    del buckets
 
     sub_counts = [0] * len(work)
     substituted: set[int] = set()
@@ -612,12 +628,23 @@ def eliminate(
             _, source = min(candidates)
             row = work[source]
             leave(source)
+            copies = spares.pop(source, None)
+            if copies and sub_counts[source] < ELIMINANT_MAX_SUBSTITUTIONS:
+                # each copy is substituted by the row itself and vanishes
+                counter.tick("elimination", len(copies))
+            elif copies:
+                # copies at the cap stay: the lowest lives on as the row
+                heir = copies.pop(0)
+                sub_counts[heir] = sub_counts[source]
+                if copies:
+                    spares[heir] = copies
+                enter(heir, row)
             substituted.add(sym)
             changed = True
             for idx in sorted(occurs[sym]):
                 if sub_counts[idx] >= ELIMINANT_MAX_SUBSTITUTIONS:
                     continue
-                counter.tick("elimination")
+                counter.tick("elimination", 1 + len(spares.get(idx, ())))
                 sub_counts[idx] += 1
                 leave(idx)
                 enter(idx, work[idx].substitute_poly(sym, row))
@@ -728,9 +755,7 @@ def _explore(
     Depth first: a branch's log joins the trace before its children's, so
     the trace lists branches in pre-order.
     """
-    pf = PartialFunction()
-    for site in prime_powers_upto(bound):
-        pf.ensure_site(site)
+    pf = PartialFunction.upto(bound)
     equations = generate_equations(k, bound, pf)
     root = BranchState(pf=pf, pending=list(equations), k=k, bound=bound)
     counter = _Counter(budget.max_steps)

@@ -3,8 +3,11 @@
 Two independent routes answer "is n a sum of k positive squares":
 
 * a lexicographic backtracking enumerator (per-n, early exit, cap as a
-  prefix of the full ordered list), and
+  prefix of the full ordered list), which skips remainders that Fermat's
+  two-square and Legendre's three-square residue classes rule out, and
 * a dynamic-programming bitmask sieve over all n <= N at once.
+
+The enumerator never reads the sieve, so each route checks the other.
 
 The exceptional-set routines compare the searched sets against closed-form
 reference lists, which is the point of the whole module.
@@ -28,6 +31,16 @@ def _part_tuples(n: int, k: int, cap: Optional[int]) -> tuple[tuple[int, ...], .
     prefix: list[int] = []
 
     def rec(remaining: int, slots: int, lo: int) -> None:
+        if slots <= 3:
+            # 4m = x^2 + y^2 (+ z^2) forces every part even, so m is a sum of
+            # as many positive squares.  Past the factors of 4, two squares
+            # are never 3, 6 or 7 mod 8 (Fermat) and three never 7 (Legendre)
+            m = remaining
+            while not m & 3:
+                m >>= 2
+            residue = m & 7
+            if residue == 7 or (slots == 2 and residue in (3, 6)):
+                return
         # smallest remaining part v satisfies slots * v^2 <= remaining
         hi = isqrt(remaining // slots)
         if slots == 2:

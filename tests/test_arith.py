@@ -203,6 +203,21 @@ class TestPartialFunction:
         assert pf.assigned_table() == {3: Fraction(-3, 4), 4: Fraction(2)}
         assert all(type(v) is Fraction for v in pf.assigned_table().values())
 
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 60, 200, 1000])
+    def test_upto_registers_what_ensure_site_would(self, bound):
+        looped = PartialFunction()
+        for site in prime_powers_upto(bound):
+            looped.ensure_site(site)
+        built = PartialFunction.upto(bound)
+        assert list(built._entries.items()) == list(looped._entries.items())
+        assert built.revision == looped.revision
+        # the built state moves on as the looped one does
+        for pf in (built, looped):
+            pf.ensure_site(1024)
+            pf.assign(2, 2)
+        assert list(built._entries.items()) == list(looped._entries.items())
+        assert built.revision == looped.revision
+
     def test_revision_moves_on_every_change(self):
         pf = PartialFunction()
         seen = [pf.revision]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqadd.arith import PartialFunction, identity_table, prime_powers_upto
+from sqadd.arith import PartialFunction, identity_table
 from sqadd.engine import (
     ACTIVE,
     CONTRADICTION,
@@ -34,9 +34,7 @@ from sqadd.poly import Poly
 
 def fresh_state(k: int, bound: int, keep=None) -> BranchState:
     """Generated system, optionally filtered to a subset of n values."""
-    pf = PartialFunction()
-    for site in prime_powers_upto(bound):
-        pf.ensure_site(site)
+    pf = PartialFunction.upto(bound)
     eqs = generate_equations(k, bound, pf)
     if keep is not None:
         eqs = [e for e in eqs if e.provenance.n in keep]
@@ -378,10 +376,7 @@ class TestRunUniqueness:
         assert len(survivors) == 1
         branch = survivors[0]
         pf = branch.pf
-        fresh = PartialFunction()
-        for site in prime_powers_upto(60):
-            fresh.ensure_site(site)
-        for eq in generate_equations(3, 60, fresh):
+        for eq in generate_equations(3, 60, PartialFunction.upto(60)):
             assert eq.poly.substitute(pf.known).is_zero(), eq.provenance
         assert branch.derived
         for eq in branch.derived:

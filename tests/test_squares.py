@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqadd import squares
 from sqadd.squares import (
     SIEVE_MAX_BOUND,
     _part_tuples,
@@ -27,6 +28,33 @@ def brute_force_parts(n: int, k: int) -> list[tuple[int, ...]]:
         if sum(a * a for a in parts) == n:
             out.append(parts)
     return out
+
+
+def unpruned_part_tuples(n: int, k: int, cap) -> tuple[tuple[int, ...], ...]:
+    """The backtracking enumerator with no residue pruning: every remainder
+    is searched, whether or not it can be a sum of the parts left."""
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def rec(remaining: int, slots: int, lo: int) -> None:
+        hi = isqrt(remaining // slots)
+        if slots == 2:
+            for v in range(lo, hi + 1):
+                w = isqrt(remaining - v * v)
+                if w * w == remaining - v * v:
+                    out.append((*prefix, v, w))
+                    if len(out) == cap:
+                        return
+            return
+        for v in range(lo, hi + 1):
+            prefix.append(v)
+            rec(remaining - v * v, slots - 1, v)
+            prefix.pop()
+            if len(out) == cap:
+                return
+
+    rec(n, k, 1)
+    return tuple(out)
 
 
 class TestEnumerate:
@@ -80,6 +108,16 @@ class TestEnumerate:
     def test_part_tuples_match_brute_force(self, n, k, cap):
         assert _part_tuples(n, k, cap) == tuple(brute_force_parts(n, k)[:cap])
 
+    # Every residue class mod 8 and every power of 4 reaches the two- and
+    # three-slot remainders.  For k = 5 and 6 the bound is lower where the
+    # lists are long: to 2000 without a cap they hold 1.5 million tuples.
+    @pytest.mark.parametrize("cap", [None, 1, 64])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_residue_pruning_drops_no_tuple(self, k, cap):
+        top = 2000 if k <= 4 or cap == 1 else {None: 500, 64: 1000}[cap]
+        for n in range(1, top + 1):
+            assert _part_tuples.__wrapped__(n, k, cap) == unpruned_part_tuples(n, k, cap), n
+
     def test_invariants_exhaustive(self):
         # every returned representation has exactly k parts, all positive,
         # nondecreasing, whose squares sum back to n
@@ -115,6 +153,23 @@ class TestExpressible:
         for n in range(1, 500):
             for k in range(1, 8):
                 assert is_expressible(n, k) == bool(enumerate_representations(n, k, 1))
+
+    def test_never_reads_the_sieve(self, monkeypatch):
+        # the enumerator/sieve differential of acceptance criterion 6 holds
+        # only while the enumerator is independent of the sieve
+        levels = [None] + [expressibility_sieve(k, 2000)[k] for k in range(1, 9)]
+
+        def refuse(*args):
+            raise AssertionError("the enumerator read the sieve")
+
+        monkeypatch.setattr(squares, "expressibility_sieve", refuse)
+        _part_tuples.cache_clear()
+        for k in range(1, 9):
+            for n in range(1, 2001):
+                assert is_expressible(n, k) == bool(levels[k] >> n & 1), (n, k)
+        for k in range(2, 9):
+            for n in range(1, 301):
+                assert enumerate_representations(n, k) == list(unpruned_part_tuples(n, k, None)), n
 
     def test_bound_above_the_ceiling_is_refused_before_building(self):
         # the refusal allocates nothing: the bitmap here would be 12.5 GB
