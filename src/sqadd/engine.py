@@ -16,11 +16,12 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional, Union
+from typing import Callable, NoReturn, Optional, Union
 
 from .arith import (
     PartialFunction,
     factorize,
+    identity_table,
     prime_power_split,
     prime_powers_upto,
 )
@@ -65,27 +66,18 @@ class Multiplicativity:
     target_factor: int
 
 
-@dataclass(frozen=True)
-class Derived:
-    """Combination of earlier equations, identified by trace step."""
-
-    step: int
-
-
-Provenance = Union[Additivity, Multiplicativity, Derived]
+Provenance = Union[Additivity, Multiplicativity]
 
 
 def provenance_fields(prov: Provenance) -> dict:
     if isinstance(prov, Additivity):
         return {"kind": "additivity", "n": prov.n, "parts": list(prov.parts)}
-    if isinstance(prov, Multiplicativity):
-        return {
-            "kind": "multiplicativity",
-            "n": prov.n,
-            "known_factor": prov.known_factor,
-            "target_factor": prov.target_factor,
-        }
-    return {"kind": "derived", "step": prov.step}
+    return {
+        "kind": "multiplicativity",
+        "n": prov.n,
+        "known_factor": prov.known_factor,
+        "target_factor": prov.target_factor,
+    }
 
 
 @dataclass(frozen=True)
@@ -196,6 +188,10 @@ class _Counter:
             raise BudgetExhausted(what, self.steps)
 
 
+class _Contradiction(Exception):
+    """A branch became inconsistent; only ``propagate`` catches it."""
+
+
 @dataclass
 class BranchState:
     """One branch of the deduction search; single-writer, copy-on-fork."""
@@ -214,8 +210,9 @@ class BranchState:
     def record(self, rule: str, inputs: dict, output: dict) -> None:
         self.log.append(TraceStep(0, self.path, rule, inputs, output))
 
-    def contradict(self, eq: Equation) -> None:
-        """Mark the branch inconsistent: eq folded to a nonzero constant."""
+    def contradict(self, eq: Equation) -> NoReturn:
+        """Mark the branch inconsistent, eq folded to a nonzero constant,
+        and end its propagation by raising _Contradiction."""
         self.status = CONTRADICTION
         self.contradiction = eq
         self.record(
@@ -223,6 +220,7 @@ class BranchState:
             provenance_fields(eq.provenance),
             {"residue": str(eq.poly.constant_value())},
         )
+        raise _Contradiction
 
     def fork(self, root_index: int, site: int, value: Fraction) -> "BranchState":
         child = BranchState(
@@ -291,8 +289,14 @@ def propagate(
         the same way;
     (d) coprime-multiple derivation reaches past the bound for sites with
         no in-bound equation (multiplicativity division);
-    (e) an equation folding to a nonzero constant flips the branch status
-        to Contradiction.  Each action is logged; 0 = 0 is dropped silently.
+    (e) an equation folding to a nonzero constant, in-bound or derived,
+        ends the run: ``BranchState.contradict`` logs it, flips the status
+        to Contradiction and raises, and this is the one place that catches
+        it, so nothing is logged after it.  Each action is logged; 0 = 0 is
+        dropped silently.
+
+    The memo of failed derivation scans lives for the whole call, so a
+    pass rerun on an unchanged state replays its scans.
     """
     budget = budget or EngineBudget()
     counter = counter or _Counter(budget.max_steps)
@@ -307,66 +311,46 @@ def propagate(
 
     dirty: deque[int] = deque(i for i, eq in enumerate(pending) if eq is not None)
     in_dirty = set(dirty)
+    failed: dict[int, tuple[int, int, Counter[int]]] = {}
 
-    def apply_assignment(site: int, value: Fraction, rule: str, inputs: dict) -> bool:
-        """Record f(site) = value; False when it contradicts the branch."""
-        current = state.pf.known(site)
-        if current is not None:
-            if current == value:
-                return True
-            residual = Equation(
-                Poly.const(current - value), Derived(len(state.log))
-            )
-            state.contradict(residual)
-            return False
+    def apply_assignment(site: int, value: Fraction, rule: str, inputs: dict) -> None:
+        """Record f(site) = value for an unknown site; requeue its equations."""
         state.pf.assign(site, value)
         state.record(rule, inputs, {"site": site, "value": str(value)})
         for i in site_index.pop(site, set()):
             if i not in in_dirty and pending[i] is not None:
                 dirty.append(i)
                 in_dirty.add(i)
-        return True
 
-    while True:
-        progress = False
-        while dirty:
-            i = dirty.popleft()
-            in_dirty.discard(i)
-            eq = pending[i]
-            if eq is None:
-                continue
-            counter.tick()
-            folded = eq.poly.substitute(state.pf.known)
-            if folded is not eq.poly:
-                eq = Equation(folded, eq.provenance)
-                pending[i] = eq
-            if folded.is_zero():
-                pending[i] = None
-                continue
-            if folded.is_constant():
-                state.contradict(eq)
-                return state
-            solved = folded.linear_solve()
-            if solved is not None:
-                site, value = solved
-                pending[i] = None
-                if not apply_assignment(
-                    site,
-                    value,
-                    "assign",
-                    provenance_fields(eq.provenance),
-                ):
-                    return state
-                progress = True
-
-        if _derive_pass(state, budget, counter, apply_assignment):
-            if state.status == CONTRADICTION:
-                return state
-            continue
-
-        if not progress:
-            break
-
+    try:
+        while True:
+            progress = False
+            while dirty:
+                i = dirty.popleft()
+                in_dirty.discard(i)
+                eq = pending[i]
+                if eq is None:
+                    continue
+                counter.tick()
+                folded = eq.poly.substitute(state.pf.known)
+                if folded is not eq.poly:
+                    eq = Equation(folded, eq.provenance)
+                    pending[i] = eq
+                if folded.is_zero():
+                    pending[i] = None
+                    continue
+                if folded.is_constant():
+                    state.contradict(eq)
+                solved = folded.linear_solve()
+                if solved is not None:
+                    pending[i] = None
+                    site, value = solved
+                    apply_assignment(site, value, "assign", provenance_fields(eq.provenance))
+                    progress = True
+            if not _derive_pass(state, budget, counter, apply_assignment, failed) and not progress:
+                break
+    except _Contradiction:
+        pass
     return state
 
 
@@ -378,9 +362,10 @@ def _derive_pass(
     state: BranchState,
     budget: EngineBudget,
     counter: _Counter,
-    apply_assignment: Callable[[int, Fraction, str, dict], bool],
+    apply_assignment: Callable[[int, Fraction, str, dict], None],
+    failed: dict[int, tuple[int, int, Counter[int]]],
 ) -> bool:
-    """Pin stuck sites through equations beyond the generation bound.
+    """Pin a stuck site through equations beyond the generation bound.
 
     The in-bound system has no equation at all for some sites (for example
     f(2*4^m) when 2*4^m has no representation and its small multiples are
@@ -388,45 +373,20 @@ def _derive_pass(
     m * p^e with f(m) known divides through to the missing value, exactly
     the coprime-multiple argument the inductive proofs use.  The signature
     matches the other stages (state, budget, counter); the step budget is
-    enforced through the counter.
+    enforced through the counter.  True once a site is pinned; an instance
+    folding to a nonzero constant raises through ``state.contradict``.
 
     A scan that finds nothing finds nothing again until the assignment state
-    changes, so within the pass its ticks and blockers are replayed from
-    ``failed``, keyed by site and ``pf.revision``.
+    changes, so its ticks and blockers are replayed from ``failed``, which
+    holds each site's last failed scan with its ``pf.revision``.  The caller
+    keeps ``failed`` for the whole ``propagate`` call.
     """
-    failed: dict[tuple[int, int], tuple[int, Counter[int]]] = {}
-    for site in state.pf.unassigned_sites(limit=state.bound):
-        outcome = _attempt_derive(
-            state, site, counter, apply_assignment, failed,
-            depth=DERIVE_DEPTH, visited={site},
-        )
-        if state.status == CONTRADICTION:
-            return True
-        if outcome:
-            return True
-    return False
-
-
-def _attempt_derive(
-    state: BranchState,
-    site: int,
-    counter: _Counter,
-    apply_assignment: Callable[[int, Fraction, str, dict], bool],
-    failed: dict[tuple[int, int], tuple[int, Counter[int]]],
-    depth: int,
-    visited: set[int],
-) -> bool:
     pf = state.pf
-    if pf.known(site) is not None:
-        return True
-    p, e = prime_power_split(site)
-    # Sites beyond the generation bound are untracked until targeted here.
-    pf.ensure_site(site)
-    blockers: Counter[int] = Counter()
 
-    def scan(blocked: Counter[int]) -> Optional[tuple[Fraction, Equation, dict]]:
+    def scan(site: int, blocked: Counter[int]) -> Optional[tuple[Fraction, Equation, dict]]:
         # Every instance is linear in x = f(site).  pf is fixed during one
         # scan: f(a^2) = A*x + B and the sites it is blocked on, by part a
+        p, e = prime_power_split(site)
         parts_seen: dict[int, tuple[Scalar, Scalar, tuple[int, ...]]] = {}
         for e2 in range(e, max(e - 2, 1) - 1, -1):
             base = p**e2
@@ -461,52 +421,54 @@ def _attempt_derive(
                             equation = Equation(Poly({(site,): coeff, (): const}), prov)
                             return Fraction(-const) / coeff, equation, inputs
                         if const:
-                            # A valid instance folded to a nonzero constant:
-                            # the branch is inconsistent.
+                            # a valid instance folded to a nonzero constant
                             state.contradict(Equation(Poly({(): const}), prov))
-                            return None
         return None
 
-    def scan_once() -> Optional[tuple[Fraction, Equation, dict]]:
+    def scan_once(site: int, blockers: Counter[int]) -> Optional[tuple[Fraction, Equation, dict]]:
         """scan(), or the replay of its failure on this same state."""
-        key = (site, pf.revision)
-        if key in failed:
-            ticks, blocked = failed[key]
+        last = failed.get(site)
+        if last is not None and last[0] == pf.revision:
+            _, ticks, blocked = last
             counter.tick("derivation", ticks)
         else:
-            start, blocked = counter.steps, Counter()
-            found = scan(blocked)
-            if found is not None or state.status == CONTRADICTION:
+            revision, start, blocked = pf.revision, counter.steps, Counter()
+            found = scan(site, blocked)
+            if found is not None:
                 return found
-            failed[key] = (counter.steps - start, blocked)
+            failed[site] = (revision, counter.steps - start, blocked)
         blockers.update(blocked)
         return None
 
-    found = scan_once()
-    if state.status == CONTRADICTION:
+    def attempt(site: int, depth: int, visited: set[int]) -> bool:
+        """Pin f(site), first pinning up to three of its blockers; True when known."""
+        if pf.known(site) is not None:
+            return True
+        # Sites beyond the generation bound are untracked until targeted here.
+        pf.ensure_site(site)
+        blockers: Counter[int] = Counter()
+        found = scan_once(site, blockers)
+        if found is None and depth > 0:
+            ranked = sorted(blockers.items(), key=lambda kv: (-kv[1], kv[0]))
+            for blocked_site, _ in ranked[:3]:
+                if blocked_site in visited:
+                    continue
+                visited.add(blocked_site)
+                if attempt(blocked_site, depth - 1, visited):
+                    found = scan_once(site, blockers)
+                    if found is not None:
+                        break
+        if found is None:
+            return False
+        value, equation, inputs = found
+        state.derived.append(equation)
+        apply_assignment(site, value, "derive", inputs)
         return True
-    if found is None and depth > 0:
-        ranked = sorted(blockers.items(), key=lambda kv: (-kv[1], kv[0]))
-        for blocked_site, _ in ranked[:3]:
-            if blocked_site in visited:
-                continue
-            visited.add(blocked_site)
-            if _attempt_derive(
-                state, blocked_site, counter, apply_assignment, failed,
-                depth - 1, visited,
-            ):
-                if state.status == CONTRADICTION:
-                    return True
-                found = scan_once()
-                if state.status == CONTRADICTION:
-                    return True
-                if found is not None:
-                    break
-    if found is None:
-        return False
-    value, equation, inputs = found
-    state.derived.append(equation)
-    return apply_assignment(site, value, "derive", inputs)
+
+    return any(
+        attempt(site, DERIVE_DEPTH, {site})
+        for site in pf.unassigned_sites(limit=state.bound)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -944,11 +906,12 @@ def search_nonidentity(
     """
     budget = budget or EngineBudget()
     survivors, _ = _explore(k, bound, budget)
+    identity = identity_table(bound)
     attempts = 0
     for branch in survivors:
-        base = {site: Fraction(site) for site in prime_powers_upto(bound)}
+        base = dict(identity)
         base.update(branch.pf.assigned_table(limit=bound))
-        if _differs_from_identity(base):
+        if base != identity:
             report = verify_assignment(base, k, bound)
             if report.ok:
                 return base
@@ -965,7 +928,3 @@ def search_nonidentity(
                 if report.ok:
                     return candidate
     return None
-
-
-def _differs_from_identity(table: dict[int, Fraction]) -> bool:
-    return any(value != site for site, value in table.items())

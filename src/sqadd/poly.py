@@ -102,40 +102,7 @@ class Poly:
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]))
 
-    # -- arithmetic --------------------------------------------------
-
-    def _coerce(self, other) -> Optional["Poly"]:
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return None
-
-    def __add__(self, other) -> "Poly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in rhs.terms.items():
-            terms[mono] = terms.get(mono, 0) + coeff
-        return Poly(terms)
-
-    def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Poly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __mul__(self, other) -> "Poly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return Poly(_times(self.terms, rhs.terms))
-
-    __rmul__ = __mul__
+    # -- comparison --------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
+from reference_poly import mul
 
 from sqadd.arith import (
     SITE_LIMIT,
@@ -179,7 +180,7 @@ class TestPartialFunction:
             for n in range(m + 1, 501):
                 if gcd(m, n) != 1:
                     continue
-                assert pf.evaluate(m * n) == em * evals[n], (m, n)
+                assert pf.evaluate(m * n) == mul(em, evals[n]), (m, n)
 
     def test_copy_is_independent(self):
         pf = PartialFunction()

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_poly import mul, neg, sub
 
+from sqadd import engine
 from sqadd.arith import PartialFunction, identity_table
 from sqadd.engine import (
     ACTIVE,
@@ -45,7 +47,7 @@ class TestGenerate:
     def test_cube_relation_for_k3(self):
         state = fresh_state(3, 27)
         pf = state.pf
-        target = pf.evaluate(27) - 3 * pf.evaluate(9)
+        target = sub(pf.evaluate(27), mul(3, pf.evaluate(9)))
         polys = [
             e.poly
             for e in state.pending
@@ -62,8 +64,8 @@ class TestGenerate:
         }
         assert set(eqs) == {(1, 1, 1, 1, 4), (2, 2, 2, 2, 2)}
         expected = Poly({(16,): 1, (): 4, (4,): -5})
-        diff = eqs[(1, 1, 1, 1, 4)] - eqs[(2, 2, 2, 2, 2)]
-        assert diff in (expected, -expected)
+        diff = sub(eqs[(1, 1, 1, 1, 4)], eqs[(2, 2, 2, 2, 2)])
+        assert diff in (expected, neg(expected))
 
     def test_k2_n2_forces_two(self):
         state = fresh_state(2, 2)
@@ -124,6 +126,53 @@ class TestPropagate:
         propagate(state)
         assert state.status == CONTRADICTION
         assert state.contradiction is not None
+
+    def test_derivation_contradiction_ends_the_run(self):
+        # f(8) has no equation; its scan reaches 12 = 2^2 + 2^2 + 2^2,
+        # where f(3) f(4) - 3 f(4) = 4 - 6 folds to -2 without x8
+        state = BranchState(pf=PartialFunction.upto(10), pending=[], k=3, bound=10)
+        for site, value in {2: 2, 3: 2, 4: 2, 9: 2, 5: 5, 7: 7}.items():
+            state.pf.assign(site, value)
+        propagate(state)
+        assert state.status == CONTRADICTION
+        last = state.log[-1]
+        assert last.rule == "contradiction"
+        assert last.inputs == {
+            "kind": "multiplicativity", "n": 12, "known_factor": 3, "target_factor": 4,
+        }
+        assert last.output == {"residue": "-2"}
+        assert [step.rule for step in state.log].count("contradiction") == 1
+
+    def test_failed_scans_replay_across_passes(self, monkeypatch):
+        # a pass that starts where the branch's last failed pass started and
+        # ended replays every scan from the memo and peeks at nothing
+        peeks = 0
+        passes = []  # (branch path, start revision, end revision, found, peeks)
+        peek, derive_pass = PartialFunction.peek, engine._derive_pass
+
+        def counted_peek(self, n, site):
+            nonlocal peeks
+            peeks += 1
+            return peek(self, n, site)
+
+        def recorded_pass(state, *args):
+            start, before = state.pf.revision, peeks
+            found = derive_pass(state, *args)
+            passes.append((state.path, start, state.pf.revision, found, peeks - before))
+            return found
+
+        monkeypatch.setattr(PartialFunction, "peek", counted_peek)
+        monkeypatch.setattr(engine, "_derive_pass", recorded_pass)
+        run_uniqueness(5, 120)
+        last_failed = {}
+        repeats = []
+        for path, start, end, found, count in passes:
+            if last_failed.get(path) == (start, start):
+                repeats.append(count)
+            if not found:
+                last_failed[path] = (start, end)
+        assert repeats
+        assert repeats == [0] * len(repeats)
 
     def test_coprime_multiple_derivation(self):
         # 2^5 has no in-bound equation at N = 60; the engine must reach
@@ -209,7 +258,7 @@ class TestRationalRoots:
         x = 2
         poly = Poly({(x, x): 1, (): 1})
         for r in roots:
-            poly = poly * Poly({(x,): r.denominator, (): -r.numerator})
+            poly = mul(poly, Poly({(x,): r.denominator, (): -r.numerator}))
         assert rational_roots(poly) == sorted(set(roots))
 
 

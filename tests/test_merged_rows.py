@@ -19,8 +19,8 @@ from sqadd.engine import (
     Additivity,
     BranchState,
     BudgetExhausted,
-    Derived,
     Equation,
+    Multiplicativity,
     _Counter,
     eliminate,
     generate_equations,
@@ -48,7 +48,11 @@ def random_system(rng: random.Random) -> BranchState:
         scale = rng.choice((-2, -1, 1, 3))
         polys.insert(at, Poly({m: scale * c for m, c in rng.choice(polys[:at]).terms.items()}))
     pending = [
-        Equation(poly, Additivity(rng.choice((10, 11)), ()) if rng.random() < 0.5 else Derived(i))
+        Equation(
+            poly,
+            Additivity(rng.choice((10, 11)), ()) if rng.random() < 0.5
+            else Multiplicativity(i, 1, i),
+        )
         for i, poly in enumerate(polys)
     ]
     return BranchState(pf=PartialFunction(), pending=pending, k=2, bound=10)
