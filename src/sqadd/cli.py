@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -43,8 +42,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-CACHE_ENV = "SQADD_CACHE_DIR"
 
 
 class UsageError(ValueError):
@@ -91,8 +88,11 @@ def _parse_site(text: str) -> int:
     return site
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
+def _render(fmt: str, payload: dict, csv_lines: list[str], text_lines: list[str]) -> str:
+    """A subcommand's output: one compact JSON line, or its csv or text lines."""
+    if fmt == "json":
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    return "".join(line + "\n" for line in (csv_lines if fmt == "csv" else text_lines))
 
 
 def _table_json(table: dict[int, Fraction]) -> dict[str, str]:
@@ -105,24 +105,15 @@ def _table_json(table: dict[int, Fraction]) -> dict[str, str]:
 
 def _cmd_repr(args: argparse.Namespace) -> int:
     reps = enumerate_representations(args.n, args.k, args.cap)
-    if args.fmt == "json":
-        _emit(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "k": args.k,
-                    "count": len(reps),
-                    "representations": [list(parts) for parts in reps],
-                },
-                separators=(",", ":"),
-            )
-        )
-    elif args.fmt == "csv":
-        for parts in reps:
-            _emit(",".join(str(a) for a in parts))
-    else:
-        for parts in reps:
-            _emit(" ".join(str(a) for a in parts))
+    payload = {
+        "n": args.n,
+        "k": args.k,
+        "count": len(reps),
+        "representations": [list(parts) for parts in reps],
+    }
+    csv_lines = [",".join(map(str, parts)) for parts in reps]
+    text_lines = [" ".join(map(str, parts)) for parts in reps]
+    sys.stdout.write(_render(args.fmt, payload, csv_lines, text_lines))
     return EXIT_OK
 
 
@@ -138,24 +129,11 @@ def _cmd_exceptions(args: argparse.Namespace) -> int:
         members = list(exceptional_set(k, bound, level))
         reference = dubouis_reference_set(k, bound) if k >= 4 else None
     match = reference is None or members == reference
-    if args.fmt == "json":
-        payload = {
-            "k": k,
-            "N": bound,
-            "members": members,
-            "reference": reference,
-            "match": match,
-        }
-        _emit(json.dumps(payload, separators=(",", ":")))
-    elif args.fmt == "csv":
-        for n in members:
-            _emit(str(n))
-        if reference is not None:
-            _emit("PASS" if match else "FAIL")
-    else:
-        _emit(",".join(str(n) for n in members))
-        if reference is not None:
-            _emit("PASS" if match else "FAIL")
+    payload = {"k": k, "N": bound, "members": members, "reference": reference, "match": match}
+    verdict = [] if reference is None else ["PASS" if match else "FAIL"]
+    csv_lines = [str(n) for n in members] + verdict
+    text_lines = [",".join(map(str, members))] + verdict
+    sys.stdout.write(_render(args.fmt, payload, csv_lines, text_lines))
     return EXIT_OK if match else EXIT_FAIL
 
 
@@ -178,61 +156,46 @@ def _cmd_deduce(args: argparse.Namespace) -> int:
         if path is not None and path.is_dir():
             raise UsageError(f"{path} is a directory")
     if trace_path.exists() and not args.force:
-        print(
-            f"error: {trace_path} exists; pass --force to overwrite",
-            file=sys.stderr,
-        )
+        print(f"error: {trace_path} exists; pass --force to overwrite", file=sys.stderr)
         return EXIT_USAGE
     budget = EngineBudget(args.max_steps, args.max_branches)
     verdict = run_uniqueness(args.k, args.N, budget)
     _write(trace_path, verdict.trace.serialize())
 
-    lines: list[str] = []
+    out = verdict.outcome
     payload: dict = {"verdict": verdict.kind, "k": args.k, "N": args.N}
-    if isinstance(verdict.outcome, Forced):
-        payload["table"] = _table_json(verdict.outcome.table)
-        lines.append("verdict: forced")
-        for site, value in sorted(verdict.outcome.table.items()):
-            lines.append(f"f({site}) = {value}")
-    elif isinstance(verdict.outcome, Underdetermined):
-        out = verdict.outcome
+    csv_lines = [f"verdict,{verdict.kind}"]
+    if isinstance(out, Forced):
+        table = sorted(out.table.items())
+        payload["table"] = _table_json(out.table)
+        csv_lines = [f"{site},{value}" for site, value in table]
+        text_lines = ["verdict: forced"] + [f"f({site}) = {value}" for site, value in table]
+    elif isinstance(out, Underdetermined):
         payload.update(
-            {
-                "free_sites": list(out.free_sites),
-                "witness_count": out.witness_count,
-                "forced_prefix": out.forced_prefix,
-                "first_free": out.first_free,
-                "note": out.note,
-            }
+            free_sites=list(out.free_sites),
+            witness_count=out.witness_count,
+            forced_prefix=out.forced_prefix,
+            first_free=out.first_free,
+            note=out.note,
         )
-        lines.append("verdict: underdetermined")
-        lines.append(f"forced prefix: {out.forced_prefix}")
-        lines.append(f"first free n: {out.first_free}")
-        lines.append(f"free sites: {','.join(str(s) for s in out.free_sites)}")
-        lines.append(f"surviving branches: {out.witness_count}")
-        if out.note:
-            lines.append(f"note: {out.note}")
+        text_lines = [
+            "verdict: underdetermined",
+            f"forced prefix: {out.forced_prefix}",
+            f"first free n: {out.first_free}",
+            f"free sites: {','.join(map(str, out.free_sites))}",
+            f"surviving branches: {out.witness_count}",
+        ] + ([f"note: {out.note}"] if out.note else [])
     else:
         payload["defect"] = "all branches contradict"
-        lines.append("verdict: all-branches-contradict (defect)")
+        text_lines = ["verdict: all-branches-contradict (defect)"]
     payload["trace_file"] = str(trace_path)
-    lines.append(f"trace written to {trace_path}")
+    text_lines.append(f"trace written to {trace_path}")
 
-    if args.fmt == "json":
-        rendered = json.dumps(payload, separators=(",", ":"))
-    elif args.fmt == "csv":
-        if isinstance(verdict.outcome, Forced):
-            rendered = "\n".join(
-                f"{site},{value}" for site, value in sorted(verdict.outcome.table.items())
-            )
-        else:
-            rendered = f"verdict,{verdict.kind}"
-    else:
-        rendered = "\n".join(lines)
+    rendered = _render(args.fmt, payload, csv_lines, text_lines)
     if args.out is not None:
-        _write(args.out, rendered + "\n")
+        _write(args.out, rendered)
     else:
-        _emit(rendered)
+        sys.stdout.write(rendered)
     return EXIT_OK
 
 
@@ -264,19 +227,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except IncompleteTableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.fmt == "json":
-        payload: dict = {"ok": report.ok, "checked": report.checked}
-        if report.first_violation is not None:
-            payload["violation"] = engine.provenance_fields(
-                report.first_violation.provenance
-            )
-        _emit(json.dumps(payload, separators=(",", ":")))
+    payload: dict = {"ok": report.ok, "checked": report.checked}
+    if report.ok:
+        lines = [f"ok ({report.checked} equations)"]
     else:
-        if report.ok:
-            _emit(f"ok ({report.checked} equations)")
-        else:
-            prov = engine.provenance_fields(report.first_violation.provenance)
-            _emit(f"violation: {prov}")
+        payload["violation"] = engine.provenance_fields(report.first_violation.provenance)
+        lines = [f"violation: {payload['violation']}"]
+    sys.stdout.write(_render(args.fmt, payload, lines, lines))
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -284,29 +241,16 @@ def _cmd_search2(args: argparse.Namespace) -> int:
     budget = EngineBudget(args.max_steps, args.max_branches)
     table = search_nonidentity(2, args.N, args.site_bound, budget)
     if table is None:
-        if args.fmt == "json":
-            _emit(json.dumps({"witness": None}, separators=(",", ":")))
-        else:
-            _emit("no witness found")
+        lines = ["no witness found"]
+        sys.stdout.write(_render(args.fmt, {"witness": None}, lines, lines))
         return EXIT_FAIL
     deviations = {s: v for s, v in table.items() if v != s}
-    if args.fmt == "json":
-        _emit(
-            json.dumps(
-                {
-                    "witness": _table_json(table),
-                    "deviations": _table_json(deviations),
-                },
-                separators=(",", ":"),
-            )
-        )
-    elif args.fmt == "csv":
-        for site, value in sorted(table.items()):
-            _emit(f"{site},{value}")
-    else:
-        _emit("witness found; non-identity sites:")
-        for site, value in sorted(deviations.items()):
-            _emit(f"f({site}) = {value}")
+    payload = {"witness": _table_json(table), "deviations": _table_json(deviations)}
+    csv_lines = [f"{site},{value}" for site, value in sorted(table.items())]
+    text_lines = ["witness found; non-identity sites:"] + [
+        f"f({site}) = {value}" for site, value in sorted(deviations.items())
+    ]
+    sys.stdout.write(_render(args.fmt, payload, csv_lines, text_lines))
     return EXIT_OK
 
 
@@ -342,9 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exc.add_argument("k", type=_int_at_least(3))
     p_exc.add_argument("N", type=positive)
     p_exc.add_argument("--hurwitz", action="store_true")
-    p_exc.add_argument(
-        "--cache-dir", type=Path, default=os.environ.get(CACHE_ENV) or None
-    )
+    p_exc.add_argument("--cache-dir", type=Path, default=None)
     common(p_exc, _cmd_exceptions)
 
     p_ded = sub.add_parser("deduce", help="run the uniqueness deduction")
@@ -378,7 +320,7 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.handler(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExhausted as exc:

@@ -28,41 +28,59 @@ def _part_tuples(n: int, k: int, cap: Optional[int]) -> tuple[tuple[int, ...], .
         r = isqrt(n)
         return ((r,),) if r * r == n else ()
     out: list[tuple[int, ...]] = []
+    # One frame per open level: its remainder and an iterator over its
+    # candidate parts; prefix holds each open level's current part.  A loop
+    # over this stack, not one Python call per part, so any k runs.
+    frames: list[tuple[int, Iterator[int]]] = []
     prefix: list[int] = []
-
-    def rec(remaining: int, slots: int, lo: int) -> None:
-        if slots <= 3:
-            # 4m = x^2 + y^2 (+ z^2) forces every part even, so m is a sum of
-            # as many positive squares.  Past the factors of 4, two squares
-            # are never 3, 6 or 7 mod 8 (Fermat) and three never 7 (Legendre)
-            m = remaining
-            while not m & 3:
-                m >>= 2
-            residue = m & 7
-            if residue == 7 or (slots == 2 and residue in (3, 6)):
-                return
+    remaining, slots, lo = n, k, 1
+    while True:
         # smallest remaining part v satisfies slots * v^2 <= remaining
-        hi = isqrt(remaining // slots)
-        if slots == 2:
-            # the last two parts v <= w in one loop: w^2 = remaining - v^2
-            # is at least v^2, so w >= v
-            for v in range(lo, hi + 1):
-                rest = remaining - v * v
-                w = isqrt(rest)
-                if w * w == rest:
-                    out.append((*prefix, v, w))
-                    if cap is not None and len(out) >= cap:
-                        return
-            return
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            rec(remaining - v * v, slots - 1, v)
+        if slots > 3:
+            frames.append((remaining, iter(range(lo, isqrt(remaining // slots) + 1))))
+            prefix.append(0)
+        else:
+            # the last two or three parts.  4m = x^2 + y^2 (+ z^2) forces
+            # every part even, so m is a sum of as many positive squares.
+            # Past the factors of 4, two squares are never 3, 6 or 7 mod 8
+            # (Fermat) and three never 7 (Legendre)
+            if slots == 3:
+                m = remaining
+                while not m & 3:
+                    m >>= 2
+                heads = () if m & 7 == 7 else range(lo, isqrt(remaining // 3) + 1)
+            else:
+                heads = (None,)
+            for u in heads:
+                rest, low, head = remaining, lo, prefix
+                if u is not None:
+                    rest, low, head = remaining - u * u, u, [*prefix, u]
+                m = rest
+                while not m & 3:
+                    m >>= 2
+                if m & 7 in (3, 6, 7):
+                    continue
+                # the last two parts v <= w in one loop: w^2 = rest - v^2
+                # is at least v^2, so w >= v
+                for v in range(low, isqrt(rest // 2) + 1):
+                    r = rest - v * v
+                    w = isqrt(r)
+                    if w * w == r:
+                        out.append((*head, v, w))
+                        if cap is not None and len(out) >= cap:
+                            return tuple(out)
+        # on to the next part of the innermost level that has one left
+        while frames:
+            rest, parts = frames[-1]
+            v = next(parts, None)
+            if v is not None:
+                prefix[-1] = v
+                remaining, slots, lo = rest - v * v, k - len(frames), v
+                break
+            frames.pop()
             prefix.pop()
-            if cap is not None and len(out) >= cap:
-                return
-
-    rec(n, k, 1)
-    return tuple(out)
+        else:
+            return tuple(out)
 
 
 def enumerate_representations(

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
@@ -23,6 +24,24 @@ def invoke(argv, capsys):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The exact stdout, stderr and exit code of each run, and the bytes of the
+# files it writes, for every subcommand in each format.  A case runs its
+# argvs in order (a cold then a warm cache) in a fresh working directory;
+# "argv" is split on spaces.
+GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDENS, ids=[case["name"] for case in GOLDENS])
+def test_golden_output(capsys, case):
+    for name, text in case["files_in"].items():
+        Path(name).write_text(text)
+    for step in case["runs"]:
+        got = invoke(step["argv"].split(), capsys)
+        assert got == (step["exit"], step["stdout"], step["stderr"])
+    for name, text in case["files_out"].items():
+        assert Path(name).read_bytes() == text.encode()
 
 
 class TestRepr:
@@ -59,6 +78,11 @@ class TestRepr:
         assert code == EXIT_OK
         assert out == expected
         assert err == ""
+
+    def test_k_past_the_recursion_limit(self, capsys):
+        code, out, err = invoke(["repr", "2000", "2000"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == " ".join(["1"] * 2000) + "\n"
 
 
 class TestExceptions:
@@ -114,16 +138,12 @@ class TestExceptions:
         assert code1 == code2 == code3 == EXIT_OK
         assert out1 == out2 == out3
 
-    def test_cache_dir_from_environment(self, capsys, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env-cache"
+    def test_cache_dir_environment_variable_is_not_read(self, capsys, tmp_path, monkeypatch):
+        env_dir, flag_dir = tmp_path / "env-cache", tmp_path / "flag-cache"
         monkeypatch.setenv("SQADD_CACHE_DIR", str(env_dir))
         code, _, _ = invoke(["exceptions", "4", "300"], capsys)
         assert code == EXIT_OK
-        assert cache_path(env_dir, 4, 300).exists()
-
-    def test_cache_dir_flag_wins_over_environment(self, capsys, tmp_path, monkeypatch):
-        env_dir, flag_dir = tmp_path / "env-cache", tmp_path / "flag-cache"
-        monkeypatch.setenv("SQADD_CACHE_DIR", str(env_dir))
+        assert not env_dir.exists()
         code, _, _ = invoke(
             ["exceptions", "4", "300", "--cache-dir", str(flag_dir)], capsys
         )
@@ -197,6 +217,11 @@ class TestDeduce:
         payload = json.loads(target.read_text())
         assert payload["verdict"] == "forced"
         assert (tmp_path / "result.json.trace").exists()
+
+    def test_k_past_the_recursion_limit(self, capsys):
+        code, out, err = invoke(["deduce", "1100", "1100"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("verdict: underdetermined\n")
 
     def test_budget_exhaustion_exit_code(self, capsys):
         code, _, err = invoke(

@@ -1,5 +1,6 @@
 """Enumerating representations and exceptional sets, checked against brute force."""
 
+import sys
 from itertools import combinations_with_replacement
 from math import isqrt
 
@@ -117,6 +118,21 @@ class TestEnumerate:
         top = 2000 if k <= 4 or cap == 1 else {None: 500, 64: 1000}[cap]
         for n in range(1, top + 1):
             assert _part_tuples.__wrapped__(n, k, cap) == unpruned_part_tuples(n, k, cap), n
+
+    # The enumerator keeps a stack of open parts, not one Python call per
+    # part, so it runs for any k under the default recursion limit.  The
+    # reference recurses, so only its call gets a raised limit.
+    @pytest.mark.parametrize("cap", [None, 1, 3, 64])
+    @pytest.mark.parametrize("k", [1000, 2500])
+    def test_large_k_matches_the_reference(self, k, cap):
+        limit = sys.getrecursionlimit()
+        for n in range(k - 1, k + 120):
+            sys.setrecursionlimit(limit + 2 * k)
+            try:
+                expected = unpruned_part_tuples(n, k, cap)
+            finally:
+                sys.setrecursionlimit(limit)
+            assert _part_tuples.__wrapped__(n, k, cap) == expected, n
 
     def test_invariants_exhaustive(self):
         # every returned representation has exactly k parts, all positive,
