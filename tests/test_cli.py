@@ -139,11 +139,15 @@ class TestExceptions:
         assert out1 == out2 == out3
 
     def test_cache_dir_environment_variable_is_not_read(self, capsys, tmp_path, monkeypatch):
-        env_dir, flag_dir = tmp_path / "env-cache", tmp_path / "flag-cache"
+        env_dir = tmp_path / "env-cache"
         monkeypatch.setenv("SQADD_CACHE_DIR", str(env_dir))
         code, _, _ = invoke(["exceptions", "4", "300"], capsys)
         assert code == EXIT_OK
         assert not env_dir.exists()
+
+    def test_cache_dir_flag_writes_with_environment_set(self, capsys, tmp_path, monkeypatch):
+        env_dir, flag_dir = tmp_path / "env-cache", tmp_path / "flag-cache"
+        monkeypatch.setenv("SQADD_CACHE_DIR", str(env_dir))
         code, _, _ = invoke(
             ["exceptions", "4", "300", "--cache-dir", str(flag_dir)], capsys
         )
