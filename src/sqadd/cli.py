@@ -273,8 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
 
     def budget_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-steps", type=positive, default=1_000_000)
-        p.add_argument("--max-branches", type=positive, default=256)
+        defaults = EngineBudget()
+        p.add_argument("--max-steps", type=positive, default=defaults.max_steps)
+        p.add_argument("--max-branches", type=positive, default=defaults.max_branches)
 
     p_repr = sub.add_parser("repr", help="list representations of n into k positive squares")
     p_repr.add_argument("n", type=positive)

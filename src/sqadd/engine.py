@@ -139,11 +139,8 @@ class DeductionTrace:
         """Per branch path: prefix-inherited site assignments, replayed."""
         tables: dict[tuple[int, ...], dict[int, Fraction]] = {(): {}}
         for step in self.steps:
-            if step.branch not in tables:
-                parent = step.branch[:-1]
-                while parent not in tables and parent:
-                    parent = parent[:-1]
-                tables[step.branch] = dict(tables.get(parent, {}))
+            if step.branch not in tables:  # its branch step, after the parent's split
+                tables[step.branch] = dict(tables[step.branch[:-1]])
             if step.rule in ("assign", "derive", "branch"):
                 site = step.output.get("site")
                 value = step.output.get("value")
@@ -194,7 +191,11 @@ class _Contradiction(Exception):
 
 @dataclass
 class BranchState:
-    """One branch of the deduction search; single-writer, copy-on-fork."""
+    """One branch of the deduction search; single-writer, copy-on-fork.
+
+    ``log`` is the run's trace: every branch forked from one root appends to
+    the same list, so a step is numbered as it is written.
+    """
 
     pf: PartialFunction
     pending: list[Optional[Equation]]
@@ -204,17 +205,14 @@ class BranchState:
     status: str = ACTIVE
     note: str = ""
     log: list[TraceStep] = field(default_factory=list)
-    derived: list[Equation] = field(default_factory=list)
-    contradiction: Optional[Equation] = None
 
     def record(self, rule: str, inputs: dict, output: dict) -> None:
-        self.log.append(TraceStep(0, self.path, rule, inputs, output))
+        self.log.append(TraceStep(len(self.log), self.path, rule, inputs, output))
 
     def contradict(self, eq: Equation) -> NoReturn:
         """Mark the branch inconsistent, eq folded to a nonzero constant,
         and end its propagation by raising _Contradiction."""
         self.status = CONTRADICTION
-        self.contradiction = eq
         self.record(
             "contradiction",
             provenance_fields(eq.provenance),
@@ -229,6 +227,7 @@ class BranchState:
             k=self.k,
             bound=self.bound,
             path=self.path + (root_index,),
+            log=self.log,
         )
         child.pf.assign(site, value)
         child.record(
@@ -329,8 +328,6 @@ def propagate(
                 i = dirty.popleft()
                 in_dirty.discard(i)
                 eq = pending[i]
-                if eq is None:
-                    continue
                 counter.tick()
                 folded = eq.poly.substitute(state.pf.known)
                 if folded is not eq.poly:
@@ -383,7 +380,7 @@ def _derive_pass(
     """
     pf = state.pf
 
-    def scan(site: int, blocked: Counter[int]) -> Optional[tuple[Fraction, Equation, dict]]:
+    def scan(site: int, blocked: Counter[int]) -> Optional[tuple[Fraction, dict]]:
         # Every instance is linear in x = f(site).  pf is fixed during one
         # scan: f(a^2) = A*x + B and the sites it is blocked on, by part a
         p, e = prime_power_split(site)
@@ -418,14 +415,13 @@ def _derive_pass(
                         if coeff:
                             inputs = provenance_fields(prov)
                             inputs["parts"] = list(parts)
-                            equation = Equation(Poly({(site,): coeff, (): const}), prov)
-                            return Fraction(-const) / coeff, equation, inputs
+                            return Fraction(-const) / coeff, inputs
                         if const:
                             # a valid instance folded to a nonzero constant
                             state.contradict(Equation(Poly({(): const}), prov))
         return None
 
-    def scan_once(site: int, blockers: Counter[int]) -> Optional[tuple[Fraction, Equation, dict]]:
+    def scan_once(site: int, blockers: Counter[int]) -> Optional[tuple[Fraction, dict]]:
         """scan(), or the replay of its failure on this same state."""
         last = failed.get(site)
         if last is not None and last[0] == pf.revision:
@@ -460,8 +456,7 @@ def _derive_pass(
                         break
         if found is None:
             return False
-        value, equation, inputs = found
-        state.derived.append(equation)
+        value, inputs = found
         apply_assignment(site, value, "derive", inputs)
         return True
 
@@ -714,32 +709,27 @@ def _explore(
 ) -> tuple[list[BranchState], DeductionTrace]:
     """Branch-and-prune search; returns the surviving branches and the trace.
 
-    Depth first: a branch's log joins the trace before its children's, so
-    the trace lists branches in pre-order.
+    Depth first: a split is the last step of its branch, and each child is
+    forked and explored in full before the next, so the one shared log
+    lists branches in pre-order.
     """
     pf = PartialFunction.upto(bound)
-    equations = generate_equations(k, bound, pf)
-    root = BranchState(pf=pf, pending=list(equations), k=k, bound=bound)
+    root = BranchState(pf=pf, pending=generate_equations(k, bound, pf), k=k, bound=bound)
     counter = _Counter(budget.max_steps)
     branch_total = 1
     survivors: list[BranchState] = []
-    steps: list[TraceStep] = []
-
-    def leaf(branch: BranchState) -> None:
-        steps.extend(branch.log)
-        if branch.status != CONTRADICTION:
-            survivors.append(branch)
 
     def explore(branch: BranchState) -> None:
         nonlocal branch_total
         propagate(branch, budget, counter)
         if branch.status == CONTRADICTION:
-            return leaf(branch)
+            return
         found = eliminate(branch, budget, counter)
         if found is None:
             branch.status = SATURATED
             branch.record("saturated", {}, {"free": branch.pf.unassigned_sites(bound)})
-            return leaf(branch)
+            survivors.append(branch)
+            return
         site, eliminant = found
         roots = rational_roots(eliminant)
         if not roots:
@@ -750,26 +740,21 @@ def _explore(
                 {"eliminant": str(eliminant), "symbol": symbol_name(site)},
                 {"note": branch.note},
             )
-            return leaf(branch)
+            survivors.append(branch)
+            return
         branch.record(
             "split",
             {"eliminant": str(eliminant), "symbol": symbol_name(site), "site": site},
             {"roots": [str(r) for r in roots]},
         )
-        children = []
+        branch_total += len(roots)
+        if branch_total > budget.max_branches:
+            raise BudgetExhausted("branches", budget.max_branches + 1)
         for idx, r in enumerate(roots):
-            branch_total += 1
-            if branch_total > budget.max_branches:
-                raise BudgetExhausted("branches", branch_total)
-            children.append(branch.fork(idx, site, r))
-        steps.extend(branch.log)
-        for child in children:
-            explore(child)
+            explore(branch.fork(idx, site, r))
 
     explore(root)
-    for i, step in enumerate(steps):
-        step.index = i
-    return survivors, DeductionTrace(steps)
+    return survivors, DeductionTrace(root.log)
 
 
 def _identity_prefix(branches: list[BranchState], bound: int) -> tuple[int, Optional[int]]:

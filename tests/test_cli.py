@@ -234,6 +234,13 @@ class TestDeduce:
         assert code == EXIT_BUDGET
         assert "budget" in err
 
+    def test_branch_budget_exit_code(self, capsys):
+        code, _, err = invoke(
+            ["deduce", "7", "42", "--max-branches", "6", "--force"], capsys
+        )
+        assert code == EXIT_BUDGET
+        assert "budget exhausted: branches" in err
+
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"
         code, _, err = invoke(["deduce", "3", "20", "--out", str(target)], capsys)

@@ -125,7 +125,7 @@ class TestPropagate:
         state.pf.assign(2, 2)
         propagate(state)
         assert state.status == CONTRADICTION
-        assert state.contradiction is not None
+        assert state.log[-1].rule == "contradiction"
 
     def test_derivation_contradiction_ends_the_run(self):
         # f(8) has no equation; its scan reaches 12 = 2^2 + 2^2 + 2^2,
@@ -363,6 +363,22 @@ class TestRunUniqueness:
             run(EngineBudget(max_steps=steps))
         assert (err.value.what, err.value.spent) == (what, steps + 1)
 
+    # The branch budget is checked once per split, for all of its roots,
+    # after the split is recorded and before any child is explored.
+    @pytest.mark.parametrize("branches", range(1, 7))
+    def test_branch_budget_stops_before_the_children(self, branches):
+        with pytest.raises(BudgetExhausted) as err:
+            run_uniqueness(7, 42, EngineBudget(max_branches=branches))
+        assert (err.value.what, err.value.spent) == ("branches", branches + 1)
+
+    def test_branch_budget_that_fits_runs_to_the_end(self):
+        verdict = run_uniqueness(7, 42, EngineBudget(max_branches=7))
+        assert verdict.kind == "underdetermined"
+        with pytest.raises(BudgetExhausted) as err:
+            run_uniqueness(3, 200, EngineBudget(max_branches=2))
+        assert (err.value.what, err.value.spent) == ("branches", 3)
+        assert run_uniqueness(3, 200, EngineBudget(max_branches=3)).kind == "forced"
+
     def test_trace_deterministic(self):
         a = run_uniqueness(3, 40)
         b = run_uniqueness(3, 40)
@@ -418,19 +434,27 @@ class TestRunUniqueness:
 
     def test_deduction_soundness_including_derived_equations(self):
         # substituting the final assignments into every generated equation
-        # and every out-of-bound derived equation must give zero
+        # and into the out-of-bound instance of every derive step on the
+        # survivor's path must give zero
         from sqadd.engine import _explore
 
-        survivors, _ = _explore(3, 60, EngineBudget())
+        survivors, trace = _explore(3, 60, EngineBudget())
         assert len(survivors) == 1
         branch = survivors[0]
         pf = branch.pf
         for eq in generate_equations(3, 60, PartialFunction.upto(60)):
             assert eq.poly.substitute(pf.known).is_zero(), eq.provenance
-        assert branch.derived
-        for eq in branch.derived:
-            assert all(pf.known(site) is not None for site in eq.poly.symbols())
-            assert eq.poly.substitute(pf.known).is_zero(), eq.provenance
+        derived = [
+            step.inputs
+            for step in trace.steps
+            if step.rule == "derive" and branch.path[: len(step.branch)] == step.branch
+        ]
+        assert derived
+        for inputs in derived:
+            left = pf.known_value(inputs["n"])
+            parts = [pf.known_value(a * a) for a in inputs["parts"]]
+            assert left is not None and None not in parts, inputs
+            assert left == sum(parts), inputs
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -512,6 +536,16 @@ class TestSearchNonidentity:
         assert table is not None
         assert any(value != site for site, value in table.items())
         assert verify_assignment(table, 2, 500).ok
+
+    # Sixteen grid candidates per allowed branch, then the search stops.
+    @pytest.mark.parametrize("branches", [1, 2, 4])
+    def test_witness_grid_budget(self, branches):
+        with pytest.raises(BudgetExhausted) as err:
+            search_nonidentity(5, 21, 21, EngineBudget(max_branches=branches))
+        assert (err.value.what, err.value.spent) == ("witness grid", 16 * branches + 1)
+
+    def test_witness_grid_that_fits_finds_nothing(self):
+        assert search_nonidentity(5, 21, 21, EngineBudget(max_branches=5)) is None
 
     def test_k2_small_respects_forced_two(self):
         table = search_nonidentity(2, 10, 5)
