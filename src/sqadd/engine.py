@@ -99,10 +99,26 @@ class EngineBudget:
 
 
 class BudgetExhausted(RuntimeError):
-    """Raise the bound or the budget; never a mathematical claim."""
+    """Raise the bound or the budget; never a mathematical claim.
+
+    `what` names the budget that ran out: an engine stage, which spends
+    steps under --max-steps; "branches", under --max-branches; or "witness
+    grid", whose candidates --max-branches also caps.  `spent` is the first
+    count over the limit, so the limit is spent - 1.
+    """
 
     def __init__(self, what: str, spent: int):
-        super().__init__(f"budget exhausted: {what} after {spent} steps")
+        limit = spent - 1
+        if what == "branches":
+            detail = f"{spent} branches, over the limit of {limit} set by --max-branches"
+        elif what == "witness grid":
+            detail = (
+                f"{spent} candidates, over the limit of {limit} (the grid tries at most "
+                f"{_WITNESS_GRID_PER_BRANCH} x --max-branches candidates)"
+            )
+        else:
+            detail = f"{spent} steps, over the limit of {limit} set by --max-steps"
+        super().__init__(f"budget exhausted: {what} after {detail}")
         self.what = what
         self.spent = spent
 
@@ -875,6 +891,9 @@ _WITNESS_GRID = (
     Fraction(5),
 )
 
+# The grid tries at most this many candidates per branch the budget allows.
+_WITNESS_GRID_PER_BRANCH = 16
+
 
 def search_nonidentity(
     k: int,
@@ -905,7 +924,7 @@ def search_nonidentity(
                 if value == site:
                     continue
                 attempts += 1
-                if attempts > budget.max_branches * 16:
+                if attempts > budget.max_branches * _WITNESS_GRID_PER_BRANCH:
                     raise BudgetExhausted("witness grid", attempts)
                 candidate = dict(base)
                 candidate[site] = value

@@ -10,14 +10,18 @@ Two independent routes answer "is n a sum of k positive squares":
 The enumerator never reads the sieve, so each route checks the other.
 
 The exceptional-set routines compare the searched sets against closed-form
-reference lists, which is the point of the whole module.
+reference lists, which is the point of the whole module.  They read the
+sieve, never the enumerator: `exceptional_set` reads the complement of
+level k a byte at a time, skipping zero bytes, and `hurwitz_exceptions`
+builds levels 1..2 and evaluates level 3's recurrence at the squares only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, count
 from math import isqrt
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 @lru_cache(maxsize=1 << 17)
@@ -139,10 +143,25 @@ def expressibility_sieve(k: int, bound: int) -> list[int]:
     return levels
 
 
-def _clear_bits(level: int, bound: int, ns: Iterable[int]) -> Iterator[int]:
-    """The n in ns (each 0 <= n <= bound) whose bit in the level is clear."""
-    raw = level.to_bytes(bound // 8 + 1, "little")
-    return (n for n in ns if not raw[n >> 3] >> (n & 7) & 1)
+# The set bits j of each byte value b, ascending: _BYTE_BITS[b].
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
+def _clear_bits(level: int, bound: int) -> Iterator[int]:
+    """The n in 1..bound whose bit in the level is clear, ascending.
+
+    The complement of bits 1..bound is read as bytes, up to its highest set
+    bit: `compress` skips the zero bytes in C, and a nonzero byte b at
+    offset i gives 8i + j for each j in _BYTE_BITS[b].  So the cost is one
+    pass over those bytes plus O(1) per clear bit, not a Python step per n.
+    """
+    clear = ~level & ((1 << (bound + 1)) - 2)
+    raw = clear.to_bytes((clear.bit_length() + 7) // 8, "little")
+    return (
+        base + j
+        for base, byte in zip(compress(count(0, 8), raw), compress(raw, raw))
+        for j in _BYTE_BITS[byte]
+    )
 
 
 def exceptional_set(
@@ -159,16 +178,31 @@ def exceptional_set(
         raise ValueError(f"bound must be positive, got {bound}")
     if level is None:
         level = expressibility_sieve(k, bound)[k]
-    return tuple(_clear_bits(level, bound, range(1, bound + 1)))
+    return tuple(_clear_bits(level, bound))
 
 
 def hurwitz_exceptions(bound: int) -> list[int]:
-    """Perfect squares <= bound that are not sums of three positive squares."""
+    """Perfect squares <= bound that are not sums of three positive squares.
+
+    Level 3 of the sieve is decided at the squares only, so it is never
+    built: with a the smallest part, m^2 is a sum of three positive squares
+    iff some a with 3a^2 <= m^2 leaves m^2 - a^2 set in level 2.  That is
+    the sieve's own recurrence, read from level 2's bytes and stopped at
+    the first hit for each m.
+    """
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    level = expressibility_sieve(3, bound)[3]
-    squares = (a * a for a in range(1, isqrt(bound) + 1))
-    return list(_clear_bits(level, bound, squares))
+    raw = expressibility_sieve(2, bound)[2].to_bytes(bound // 8 + 1, "little")
+    out = []
+    for m in range(1, isqrt(bound) + 1):
+        square = m * m
+        for a in range(1, isqrt(square // 3) + 1):
+            r = square - a * a
+            if raw[r >> 3] >> (r & 7) & 1:
+                break
+        else:
+            out.append(square)
+    return out
 
 
 def hurwitz_reference_set(bound: int) -> list[int]:

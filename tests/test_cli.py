@@ -241,6 +241,16 @@ class TestDeduce:
         assert code == EXIT_BUDGET
         assert "budget exhausted: branches" in err
 
+    def test_branch_budget_message_names_unit_and_flag(self, capsys):
+        code, out, err = invoke(
+            ["deduce", "7", "42", "--max-branches", "6", "--force"], capsys
+        )
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == (
+            "error: budget exhausted: branches after 7 branches, "
+            "over the limit of 6 set by --max-branches\n"
+        )
+
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"
         code, _, err = invoke(["deduce", "3", "20", "--out", str(target)], capsys)

@@ -343,6 +343,14 @@ class TestRunUniqueness:
             counter.tick("derivation", 6)
         assert (err.value.what, err.value.spent) == ("derivation", 11)
 
+    def test_step_budget_message(self):
+        with pytest.raises(BudgetExhausted) as err:
+            run_uniqueness(7, 42, EngineBudget(max_steps=1500))
+        assert str(err.value) == (
+            "budget exhausted: derivation after 1501 steps, "
+            "over the limit of 1500 set by --max-steps"
+        )
+
     def test_budget_stops_at_the_first_step_over(self):
         for steps in range(100, 2172, 37):
             with pytest.raises(BudgetExhausted) as err:
@@ -543,6 +551,14 @@ class TestSearchNonidentity:
         with pytest.raises(BudgetExhausted) as err:
             search_nonidentity(5, 21, 21, EngineBudget(max_branches=branches))
         assert (err.value.what, err.value.spent) == ("witness grid", 16 * branches + 1)
+
+    def test_witness_grid_budget_message(self):
+        with pytest.raises(BudgetExhausted) as err:
+            search_nonidentity(5, 21, 21, EngineBudget(max_branches=1))
+        assert str(err.value) == (
+            "budget exhausted: witness grid after 17 candidates, over the limit of 16 "
+            "(the grid tries at most 16 x --max-branches candidates)"
+        )
 
     def test_witness_grid_that_fits_finds_nothing(self):
         assert search_nonidentity(5, 21, 21, EngineBudget(max_branches=5)) is None

@@ -222,12 +222,15 @@ class TestExceptionalSets:
         assert got == (1, 2, 3, 4, 5, 7, 8, 10, 11, 13, 16, 19)
 
     def test_agrees_with_per_n_search(self):
-        # bounds at, just below and past a byte edge of the bitmap
-        for k in (3, 4, 5, 6):
-            for bound in (1, 7, 8, 9, 300):
-                batch = exceptional_set(k, bound)
-                slow = tuple(n for n in range(1, bound + 1) if not is_expressible(n, k))
-                assert batch == slow, (k, bound)
+        # every bound to 17, bounds at, just below and past a byte edge of
+        # the bitmap, and the dense k = 3 set (about one n in six) to 2000
+        edges = [8 * m + d for m in (2, 5, 16, 41) for d in (-1, 0, 1)]
+        for k in range(3, 13):
+            bounds = [*range(1, 18), *edges, *([2000] if k == 3 else [])]
+            slow = [n for n in range(1, max(bounds) + 1) if not is_expressible(n, k)]
+            for bound in bounds:
+                expected = tuple(n for n in slow if n <= bound)
+                assert exceptional_set(k, bound) == expected, (k, bound)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -274,6 +277,16 @@ class TestHurwitz:
 
     def test_matches_closed_form_to_10_4(self):
         assert hurwitz_exceptions(10_000) == hurwitz_reference_set(10_000)
+
+    def test_agrees_with_per_n_search(self):
+        got = set(hurwitz_exceptions(10_000))
+        for m in range(1, 101):
+            assert (m * m in got) == (not is_expressible(m * m, 3)), m
+        # bounds just below, at and past a square
+        for bound in (1, 2, 3, 4, 5, 24, 25, 26):
+            squares = (m * m for m in range(1, isqrt(bound) + 1))
+            expected = [n for n in squares if not is_expressible(n, 3)]
+            assert hurwitz_exceptions(bound) == expected, bound
 
     def test_closed_form_values(self):
         assert hurwitz_reference_set(110) == [1, 4, 16, 25, 64, 100]
