@@ -143,8 +143,16 @@ def expressibility_sieve(k: int, bound: int) -> list[int]:
     return levels
 
 
-# The set bits j of each byte value b, ascending: _BYTE_BITS[b].
-_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """The set bits of each byte value, ascending, indexed by the byte."""
+    table: list[tuple[int, ...]] = [()]
+    for j in range(8):
+        # the bytes 2^j .. 2^(j+1) - 1 are the bytes below 2^j plus bit j
+        table += [bits + (j,) for bits in table]
+    return tuple(table)
+
+
+_BYTE_BITS = _byte_bits()
 
 
 def _clear_bits(level: int, bound: int) -> Iterator[int]:
