@@ -1,7 +1,9 @@
-"""On-disk cache for level k of the expressibility sieve.
+"""On-disk cache for one level of the expressibility sieve.
 
-Binary format: magic, version, k, N, sha256 of the payload, then level k as
-one little-endian bitmap of N // 8 + 1 bytes.  Any mismatch (magic, version,
+A file holds the one level a run reads: level k for `exceptions K N`, and
+level 2 for `exceptions 3 N --hurwitz`.  Binary format: magic, version,
+the level's k, N, sha256 of the payload, then the level as one
+little-endian bitmap of N // 8 + 1 bytes.  Any mismatch (magic, version,
 parameters, length, checksum) falls back to a rebuild; a corrupt cache can
 cost time, never correctness.
 """
@@ -61,11 +63,11 @@ def load_sieve(path: Path, k: int, bound: int) -> Optional[int]:
 def sieve_with_cache(k: int, bound: int, cache_dir: Optional[Path]) -> int:
     """Level k of the sieve, served from the cache when possible and valid."""
     if cache_dir is None:
-        return expressibility_sieve(k, bound)[k]
+        return expressibility_sieve(k, bound)
     path = cache_path(cache_dir, k, bound)
     level = load_sieve(path, k, bound)
     if level is None:
-        level = expressibility_sieve(k, bound)[k]
+        level = expressibility_sieve(k, bound)
         try:
             save_sieve(path, k, bound, level)
         except OSError as exc:

@@ -15,6 +15,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from . import engine
 from .arith import SITE_LIMIT, is_prime_power
@@ -31,6 +32,7 @@ from .engine import (
     verify_assignment,
 )
 from .squares import (
+    SIEVE_MAX_BOUND,
     dubouis_reference_set,
     enumerate_representations,
     exceptional_set,
@@ -48,8 +50,8 @@ class UsageError(ValueError):
     pass
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _int_at_least(low: int, at_most: Optional[int] = None):
+    """argparse type: an integer no smaller than `low` nor above `at_most`."""
 
     def at_least(text: str) -> int:
         try:
@@ -58,6 +60,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}, the ceiling, got {value}")
         return value
 
     return at_least
@@ -121,11 +125,11 @@ def _cmd_exceptions(args: argparse.Namespace) -> int:
     k, bound = args.k, args.N
     if args.hurwitz and k != 3:
         raise UsageError("--hurwitz applies to k = 3 only")
+    level = sieve_with_cache(2 if args.hurwitz else k, bound, args.cache_dir)
     if args.hurwitz:
-        members = hurwitz_exceptions(bound)
+        members = hurwitz_exceptions(bound, level)
         reference = hurwitz_reference_set(bound)
     else:
-        level = sieve_with_cache(k, bound, args.cache_dir)
         members = list(exceptional_set(k, bound, level))
         reference = dubouis_reference_set(k, bound) if k >= 4 else None
     match = reference is None or members == reference
@@ -265,6 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     positive = _int_at_least(1)
+    # every N is refused above the sieve's ceiling before anything is built
+    bound = _int_at_least(1, SIEVE_MAX_BOUND)
 
     def common(p: argparse.ArgumentParser, handler) -> None:
         p.add_argument(
@@ -285,14 +291,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exc = sub.add_parser("exceptions", help="exceptional set vs the closed-form reference")
     p_exc.add_argument("k", type=_int_at_least(3))
-    p_exc.add_argument("N", type=positive)
+    p_exc.add_argument("N", type=bound)
     p_exc.add_argument("--hurwitz", action="store_true")
     p_exc.add_argument("--cache-dir", type=Path, default=None)
     common(p_exc, _cmd_exceptions)
 
     p_ded = sub.add_parser("deduce", help="run the uniqueness deduction")
     p_ded.add_argument("k", type=_int_at_least(2))
-    p_ded.add_argument("N", type=positive)
+    p_ded.add_argument("N", type=bound)
     p_ded.add_argument("--out", type=Path, default=None)
     p_ded.add_argument("--force", action="store_true")
     budget_flags(p_ded)
@@ -300,12 +306,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="model-check an explicit assignment table")
     p_ver.add_argument("k", type=positive)
-    p_ver.add_argument("N", type=positive)
+    p_ver.add_argument("N", type=bound)
     p_ver.add_argument("--table", type=Path, required=True)
     common(p_ver, _cmd_verify)
 
     p_s2 = sub.add_parser("search2", help="search a non-identity witness for k = 2")
-    p_s2.add_argument("N", type=positive)
+    p_s2.add_argument("N", type=bound)
     p_s2.add_argument("--site-bound", type=positive, default=20)
     budget_flags(p_s2)
     common(p_s2, _cmd_search2)

@@ -151,19 +151,6 @@ class DeductionTrace:
             "\n" if self.steps else ""
         )
 
-    def assignments(self) -> dict[tuple[int, ...], dict[int, Fraction]]:
-        """Per branch path: prefix-inherited site assignments, replayed."""
-        tables: dict[tuple[int, ...], dict[int, Fraction]] = {(): {}}
-        for step in self.steps:
-            if step.branch not in tables:  # its branch step, after the parent's split
-                tables[step.branch] = dict(tables[step.branch[:-1]])
-            if step.rule in ("assign", "derive", "branch"):
-                site = step.output.get("site")
-                value = step.output.get("value")
-                if site is not None:
-                    tables[step.branch][int(site)] = parse_rational(value)
-        return tables
-
 
 # A rational value: plain ASCII "n" or "n/d", the form str(Fraction) writes.
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -629,15 +616,11 @@ def eliminate(
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    """The positive divisors of a nonzero n, ascending."""
+    divisors = [1]
+    for p, e in factorize(abs(n)):
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    return sorted(divisors)
 
 
 def rational_roots(poly: Poly) -> list[Fraction]:

@@ -11,15 +11,16 @@ The enumerator never reads the sieve, so each route checks the other.
 
 The exceptional-set routines compare the searched sets against closed-form
 reference lists, which is the point of the whole module.  They read the
-sieve, never the enumerator: `exceptional_set` reads the complement of
-level k a byte at a time, skipping zero bytes, and `hurwitz_exceptions`
-builds levels 1..2 and evaluates level 3's recurrence at the squares only.
+sieve, never the enumerator, and each takes the one level it needs:
+`exceptional_set` reads level k's complement with a regex scan of its
+binary string, and `hurwitz_exceptions` reads level 2 and evaluates level
+3's recurrence at the squares only.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
-from itertools import compress, count
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -115,61 +116,33 @@ def is_expressible(n: int, k: int) -> bool:
 SIEVE_MAX_BOUND = 10**8
 
 
-def expressibility_sieve(k: int, bound: int) -> list[int]:
-    """Bitmasks E[1..k]; bit n of E[j] set iff n is a sum of j positive squares.
+def expressibility_sieve(k: int, bound: int) -> int:
+    """Level k as a bitmask: bit n set iff n <= bound is a sum of k positive squares.
 
-    E[0] is the empty-sum mask (bit 0 only) so indexing is by j directly.
-    The masks are plain ints and safe to share once built.
+    Level 1 is the squares, and level j + 1 ORs level j shifted by each
+    square.  Only the level being extended is kept while the next is built.
     """
     if k < 1 or bound < 1:
         raise ValueError("k and bound must be positive")
     if bound > SIEVE_MAX_BOUND:
         raise ValueError(f"bound {bound} is above the sieve's ceiling of {SIEVE_MAX_BOUND}")
     mask = (1 << (bound + 1)) - 1
-    squares = 0
+    level = 0
     a = 1
     while a * a <= bound:
-        squares |= 1 << (a * a)
+        level |= 1 << (a * a)
         a += 1
-    levels = [1, squares]
-    for _ in range(2, k + 1):
-        prev = levels[-1]
-        cur = 0
+    for _ in range(1, k):
+        prev, level = level, 0
         a = 1
         while a * a <= bound - 1:
-            cur |= prev << (a * a)
+            level |= prev << (a * a)
             a += 1
-        levels.append(cur & mask)
-    return levels
+        level &= mask
+    return level
 
 
-def _byte_bits() -> tuple[tuple[int, ...], ...]:
-    """The set bits of each byte value, ascending, indexed by the byte."""
-    table: list[tuple[int, ...]] = [()]
-    for j in range(8):
-        # the bytes 2^j .. 2^(j+1) - 1 are the bytes below 2^j plus bit j
-        table += [bits + (j,) for bits in table]
-    return tuple(table)
-
-
-_BYTE_BITS = _byte_bits()
-
-
-def _clear_bits(level: int, bound: int) -> Iterator[int]:
-    """The n in 1..bound whose bit in the level is clear, ascending.
-
-    The complement of bits 1..bound is read as bytes, up to its highest set
-    bit: `compress` skips the zero bytes in C, and a nonzero byte b at
-    offset i gives 8i + j for each j in _BYTE_BITS[b].  So the cost is one
-    pass over those bytes plus O(1) per clear bit, not a Python step per n.
-    """
-    clear = ~level & ((1 << (bound + 1)) - 2)
-    raw = clear.to_bytes((clear.bit_length() + 7) // 8, "little")
-    return (
-        base + j
-        for base, byte in zip(compress(count(0, 8), raw), compress(raw, raw))
-        for j in _BYTE_BITS[byte]
-    )
+_ONE = re.compile("1")
 
 
 def exceptional_set(
@@ -177,30 +150,36 @@ def exceptional_set(
 ) -> tuple[int, ...]:
     """All n <= bound that are not sums of k positive squares, ascending.
 
-    `level` is level k of expressibility_sieve(k, bound) when the caller
-    already has it; otherwise the sieve is built here.
+    `level` is expressibility_sieve(k, bound) when the caller already has
+    it; otherwise the sieve is built here.  The members are the positions of
+    the "1"s in the binary string of the complement of bits 1..bound, read
+    least significant bit first, so a regex scan finds them in C.
     """
     if k < 3:
         raise ValueError(f"exceptional_set requires k >= 3, got {k}")
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
     if level is None:
-        level = expressibility_sieve(k, bound)[k]
-    return tuple(_clear_bits(level, bound))
+        level = expressibility_sieve(k, bound)
+    clear = bin(~level & ((1 << (bound + 1)) - 2))[:1:-1]
+    return tuple(map(re.Match.start, _ONE.finditer(clear)))
 
 
-def hurwitz_exceptions(bound: int) -> list[int]:
+def hurwitz_exceptions(bound: int, level: Optional[int] = None) -> list[int]:
     """Perfect squares <= bound that are not sums of three positive squares.
 
-    Level 3 of the sieve is decided at the squares only, so it is never
-    built: with a the smallest part, m^2 is a sum of three positive squares
-    iff some a with 3a^2 <= m^2 leaves m^2 - a^2 set in level 2.  That is
-    the sieve's own recurrence, read from level 2's bytes and stopped at
-    the first hit for each m.
+    `level` is expressibility_sieve(2, bound) when the caller already has
+    it; otherwise it is built here.  Level 3 is decided at the squares
+    only, so it is never built: with a the smallest part, m^2 is a sum of
+    three positive squares iff some a with 3a^2 <= m^2 leaves m^2 - a^2 set
+    in level 2.  That is the sieve's own recurrence, read from level 2's
+    bytes and stopped at the first hit for each m.
     """
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    raw = expressibility_sieve(2, bound)[2].to_bytes(bound // 8 + 1, "little")
+    if level is None:
+        level = expressibility_sieve(2, bound)
+    raw = level.to_bytes(bound // 8 + 1, "little")
     out = []
     for m in range(1, isqrt(bound) + 1):
         square = m * m

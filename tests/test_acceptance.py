@@ -168,7 +168,7 @@ def test_criterion_6_property_suites():
 
     # enumerator/sieve differential equality, n <= 10^4, k <= 8
     for k in range(2, 9):
-        level = expressibility_sieve(k, 10_000)[k]
+        level = expressibility_sieve(k, 10_000)
         for n in range(1, 10_001):
             assert ((level >> n) & 1) == int(is_expressible(n, k)), (n, k)
 

@@ -26,7 +26,7 @@ def _no_rebuild(monkeypatch):
 
 def test_round_trip_identical_effect(tmp_path, monkeypatch):
     fresh = sieve_with_cache(4, 2000, tmp_path)
-    assert fresh == expressibility_sieve(4, 2000)[4]
+    assert fresh == expressibility_sieve(4, 2000)
     assert sieve_with_cache(4, 2000, None) == fresh
     _no_rebuild(monkeypatch)
     loaded = sieve_with_cache(4, 2000, tmp_path)
@@ -40,7 +40,7 @@ def test_truncated_file_rebuilds(tmp_path, capsys):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 3])
     level = sieve_with_cache(4, 500, tmp_path)
-    assert level == expressibility_sieve(4, 500)[4]
+    assert level == expressibility_sieve(4, 500)
     assert "rebuilding" in capsys.readouterr().err
     assert load_sieve(path, 4, 500) == level
 
@@ -52,7 +52,7 @@ def test_corrupt_payload_rebuilds(tmp_path, capsys):
     blob[-1] ^= 0xFF
     path.write_bytes(bytes(blob))
     level = sieve_with_cache(3, 500, tmp_path)
-    assert level == expressibility_sieve(3, 500)[3]
+    assert level == expressibility_sieve(3, 500)
     assert "checksum" in capsys.readouterr().err
     assert load_sieve(path, 3, 500) == level
 
@@ -61,7 +61,7 @@ def test_wrong_length_rebuilds(tmp_path, capsys):
     # a bitmap one byte short, with a checksum that matches it, would drop
     # the top bits and report 496..500 as exceptions
     path = cache_path(tmp_path, 3, 500)
-    level = expressibility_sieve(3, 500)[3]
+    level = expressibility_sieve(3, 500)
     payload = level.to_bytes(500 // 8 + 1, "little")[:-1]
     header = struct.pack(">4sIIQ32s", MAGIC, VERSION, 3, 500, hashlib.sha256(payload).digest())
     path.write_bytes(header + payload)
@@ -73,21 +73,21 @@ def test_wrong_length_rebuilds(tmp_path, capsys):
 @pytest.mark.parametrize("version", [1, 999])
 def test_version_bump_rebuilds(tmp_path, version):
     path = cache_path(tmp_path, 3, 100)
-    save_sieve(path, 3, 100, expressibility_sieve(3, 100)[3])
+    save_sieve(path, 3, 100, expressibility_sieve(3, 100))
     blob = bytearray(path.read_bytes())
     # header: magic, version u32, k u32, N u64, checksum
     struct.pack_into(">I", blob, 4, version)
     path.write_bytes(bytes(blob))
     assert load_sieve(path, 3, 100) is None
     level = sieve_with_cache(3, 100, tmp_path)
-    assert level == expressibility_sieve(3, 100)[3]
+    assert level == expressibility_sieve(3, 100)
     assert struct.unpack_from(">I", path.read_bytes(), 4) == (VERSION,)
     assert load_sieve(path, 3, 100) == level
 
 
 def test_wrong_parameters_ignored(tmp_path):
     path = cache_path(tmp_path, 3, 100)
-    save_sieve(path, 3, 100, expressibility_sieve(3, 100)[3])
+    save_sieve(path, 3, 100, expressibility_sieve(3, 100))
     assert load_sieve(path, 4, 100) is None
     assert load_sieve(path, 3, 200) is None
 

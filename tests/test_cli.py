@@ -12,6 +12,7 @@ from jsonschema import validate
 from sqadd.arith import identity_table
 from sqadd.cache import cache_path
 from sqadd.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
+from sqadd.squares import SIEVE_MAX_BOUND
 
 
 @pytest.fixture(autouse=True)
@@ -154,6 +155,19 @@ class TestExceptions:
         assert code == EXIT_OK
         assert cache_path(flag_dir, 4, 300).exists()
         assert not env_dir.exists()
+
+    def test_hurwitz_reads_level_2_from_the_cache(self, capsys, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        argv = ["exceptions", "3", "1000", "--hurwitz", "--cache-dir", str(cache_dir)]
+        cold = invoke(argv, capsys)
+        assert cold[0] == EXIT_OK
+        assert cache_path(cache_dir, 2, 1000).exists()
+
+        def refuse(*args):
+            raise AssertionError("a warm run rebuilt the sieve")
+
+        monkeypatch.setattr("sqadd.cache.expressibility_sieve", refuse)
+        assert invoke(argv, capsys) == cold
 
     def test_unwritable_cache_dir_warns(self, capsys, tmp_path):
         blocker = tmp_path / "file"
@@ -456,12 +470,18 @@ class TestUsage:
             # above the sieve's ceiling, refused before any bitmap is built
             "exceptions 3 100000000000",
             "exceptions 3 100000000000 --hurwitz",
+            # above the same ceiling, refused before any prime table is built
+            "verify 3 1000000000000 --table T",
+            "deduce 3 1000000000000 --out F",
+            "search2 1000000000000",
         ],
     )
     def test_out_of_range_is_a_usage_error(self, capsys, argv):
         code, _, err = invoke(argv.split(), capsys)
         assert code == EXIT_USAGE
         assert "Traceback" not in err
+        if any(word.isdigit() and int(word) > SIEVE_MAX_BOUND for word in argv.split()):
+            assert f"at most {SIEVE_MAX_BOUND}" in err
 
 
 def test_module_entry_point(child_env):

@@ -173,7 +173,7 @@ class TestExpressible:
     def test_never_reads_the_sieve(self, monkeypatch):
         # the enumerator/sieve differential of acceptance criterion 6 holds
         # only while the enumerator is independent of the sieve
-        levels = [None] + [expressibility_sieve(k, 2000)[k] for k in range(1, 9)]
+        levels = [None] + [expressibility_sieve(k, 2000) for k in range(1, 9)]
 
         def refuse(*args):
             raise AssertionError("the enumerator read the sieve")
@@ -197,7 +197,7 @@ class TestExpressible:
 
     def test_monotone_padding(self):
         # n a sum of k positive squares implies n+1 is one of k+1
-        sieves = {k: expressibility_sieve(k, 2001)[k] for k in range(1, 11)}
+        sieves = {k: expressibility_sieve(k, 2001) for k in range(1, 11)}
         for k in range(1, 10):
             cur, nxt = sieves[k], sieves[k + 1]
             for n in range(1, 2000):
