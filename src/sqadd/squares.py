@@ -5,16 +5,19 @@ Two independent routes answer "is n a sum of k positive squares":
 * a lexicographic backtracking enumerator (per-n, early exit, cap as a
   prefix of the full ordered list), which skips remainders that Fermat's
   two-square and Legendre's three-square residue classes rule out, and
-* a dynamic-programming bitmask sieve over all n <= N at once.
+* a dynamic-programming sieve over all n <= N at once, in two phases:
+  levels 1..4 are dense bitmaps built by shift-ORs, and from level 4 on,
+  where the complement of level j is 1..j - 1 and O(log N) members
+  above j, each level steps those members as a set.
 
 The enumerator never reads the sieve, so each route checks the other.
 
 The exceptional-set routines compare the searched sets against closed-form
 reference lists, which is the point of the whole module.  They read the
 sieve, never the enumerator, and each takes the one level it needs:
-`exceptional_set` reads level k's complement with a regex scan of its
-binary string, and `hurwitz_exceptions` reads level 2 and evaluates level
-3's recurrence at the squares only.
+`exceptional_set` reads level k's complement with one regex scan of its
+bit-reversed binary string, and `hurwitz_exceptions` reads level 2 and
+evaluates level 3's recurrence at the squares only.
 """
 
 from __future__ import annotations
@@ -111,38 +114,94 @@ def is_expressible(n: int, k: int) -> bool:
     return bool(enumerate_representations(n, k, 1))
 
 
-# The largest bound the sieve takes: each level is a bitmap of bound + 1
-# bits, 12.5 MB at this ceiling.
+# The largest bound the sieve takes: the level it returns is a bitmap of
+# bound + 1 bits, 12.5 MB at this ceiling.
 SIEVE_MAX_BOUND = 10**8
+
+# Byte i with its bits in reverse order, built by doubling: the upper half
+# of each table is the lower half with the next bit down set.
+_REVERSED_BYTE = b"\x00"
+for _bit in (128, 64, 32, 16, 8, 4, 2, 1):
+    _REVERSED_BYTE += bytes(x | _bit for x in _REVERSED_BYTE)
+del _bit
+
+_ONE = re.compile("1")
+
+
+def _reversed(x: int, bound: int) -> int:
+    """x < 2^(bound + 1) with each bit n moved to bit bound - n.
+
+    Bit t of the little-endian bytes, each byte's bits reversed, is bit
+    8 * len - 1 - t of the same bytes read big-endian.
+    """
+    raw = x.to_bytes(bound // 8 + 1, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(raw, "big") >> (7 - bound % 8)
+
+
+def _members(reversed_set: int) -> tuple[int, ...]:
+    """The n >= 1 of a set held with bit bound - n standing for n, ascending.
+
+    Bit bound stands for 0 and must be set: then the binary string has
+    bound + 1 digits and digit n stands for n, so one regex scan of that
+    one string finds the members in C.
+    """
+    return tuple(map(re.Match.start, _ONE.finditer(format(reversed_set, "b"), 1)))
+
+
+def _next_tail(tail: list[int], j: int, bound: int) -> list[int]:
+    """The members above j + 1 of level j + 1's complement, from those above j of level j's.
+
+    n joins iff n - a^2 is in `tail` for every a >= 1 with n - a^2 >= j;
+    the remainders below j are in the complement whatever `tail` holds.
+    So a = 1 leaves c + 1 for c in `tail` as the only candidates.
+    """
+    members = set(tail)
+    return [
+        n
+        for n in (c + 1 for c in tail)
+        if n <= bound and all(n - a * a in members for a in range(2, isqrt(n - j) + 1))
+    ]
 
 
 def expressibility_sieve(k: int, bound: int) -> int:
     """Level k as a bitmask: bit n set iff n <= bound is a sum of k positive squares.
 
-    Level 1 is the squares, and level j + 1 ORs level j shifted by each
-    square.  Only the level being extended is kept while the next is built.
+    Levels 1..min(k, 4) are built with bit bound - n standing for n.
+    Level 1 is the squares, and level j + 1 ORs level j shifted right by
+    each square a^2 < bound: the sums above the bound fall off the low end,
+    so no intermediate is wider than bound + 1 bits.  For k <= 4 one bit
+    reversal turns that level into the returned one.
+
+    Levels 5..k step the complement as a set.  The complement of level j
+    is 1..j - 1, which no sum of j positive squares reaches, and a tail
+    above j, which `_next_tail` steps.  The step is exact at every level;
+    level 4 hands over because from there the tail has O(log bound)
+    members (the sporadic exceptions and 2 * 4^m, 6 * 4^m, 14 * 4^m),
+    where level 3's complement has about bound / 6.
     """
     if k < 1 or bound < 1:
         raise ValueError("k and bound must be positive")
     if bound > SIEVE_MAX_BOUND:
         raise ValueError(f"bound {bound} is above the sieve's ceiling of {SIEVE_MAX_BOUND}")
-    mask = (1 << (bound + 1)) - 1
-    level = 0
-    a = 1
-    while a * a <= bound:
-        level |= 1 << (a * a)
-        a += 1
-    for _ in range(1, k):
+    raw = bytearray(bound // 8 + 1)
+    for a in range(1, isqrt(bound) + 1):
+        b = bound - a * a
+        raw[b >> 3] |= 1 << (b & 7)
+    level = int.from_bytes(raw, "little")
+    squares = [a * a for a in range(1, isqrt(bound - 1) + 1)]
+    for _ in range(1, min(k, 4)):
         prev, level = level, 0
-        a = 1
-        while a * a <= bound - 1:
-            level |= prev << (a * a)
-            a += 1
-        level &= mask
-    return level
-
-
-_ONE = re.compile("1")
+        for s in squares:
+            level |= prev >> s
+    if k <= 4:
+        return _reversed(level, bound)
+    # bit bound, which stands for 0, is never in a level, so it is in the complement
+    tail = [n for n in _members(~level & ((1 << (bound + 1)) - 1)) if n > 4]
+    for j in range(4, k):
+        if not tail:
+            break
+        tail = _next_tail(tail, j, bound)
+    return ((1 << (bound + 1)) - (1 << min(k, bound + 1))) ^ sum(1 << c for c in tail)
 
 
 def exceptional_set(
@@ -151,9 +210,9 @@ def exceptional_set(
     """All n <= bound that are not sums of k positive squares, ascending.
 
     `level` is expressibility_sieve(k, bound) when the caller already has
-    it; otherwise the sieve is built here.  The members are the positions of
-    the "1"s in the binary string of the complement of bits 1..bound, read
-    least significant bit first, so a regex scan finds them in C.
+    it; otherwise the sieve is built here.  The complement of bits 1..bound,
+    with bit 0 set, is bit-reversed and read by `_members`, so the call
+    holds one binary string of bound + 1 digits and no reversed copy of it.
     """
     if k < 3:
         raise ValueError(f"exceptional_set requires k >= 3, got {k}")
@@ -161,8 +220,7 @@ def exceptional_set(
         raise ValueError(f"bound must be positive, got {bound}")
     if level is None:
         level = expressibility_sieve(k, bound)
-    clear = bin(~level & ((1 << (bound + 1)) - 2))[:1:-1]
-    return tuple(map(re.Match.start, _ONE.finditer(clear)))
+    return _members(_reversed(~level & ((1 << (bound + 1)) - 2) | 1, bound))
 
 
 def hurwitz_exceptions(bound: int, level: Optional[int] = None) -> list[int]:

@@ -1,6 +1,7 @@
 """Enumerating representations and exceptional sets, checked against brute force."""
 
 import sys
+import tracemalloc
 from itertools import combinations_with_replacement
 from math import isqrt
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from sqadd import squares
 from sqadd.squares import (
     SIEVE_MAX_BOUND,
+    _next_tail,
     _part_tuples,
     dubouis_reference_set,
     enumerate_representations,
@@ -20,6 +22,8 @@ from sqadd.squares import (
     hurwitz_reference_set,
     is_expressible,
 )
+
+from reference_sieve import expressibility_sieve_reference
 
 
 def brute_force_parts(n: int, k: int) -> list[tuple[int, ...]]:
@@ -204,6 +208,31 @@ class TestExpressible:
                 if (cur >> n) & 1:
                     assert (nxt >> (n + 1)) & 1, (n, k)
 
+    def test_matches_the_shift_or_reference(self):
+        # every k to 13 at every bound to 70, at, just below and past a byte
+        # edge, and at 2001 (levels 1..4 as bitmaps, the rest as sets), and
+        # the bench's k = 2..12 at 80,000
+        edges = [8 * m + d for m in (2, 5, 16, 41) for d in (-1, 0, 1)]
+        cases = [(k, b) for k in range(1, 14) for b in (*range(1, 71), *edges, 2001)]
+        cases += [(k, 80_000) for k in range(2, 13)]
+        for k, bound in cases:
+            assert expressibility_sieve(k, bound) == expressibility_sieve_reference(k, bound), (k, bound)
+
+    def test_complement_step_reads_every_remainder(self):
+        # from the tail {10, 13} above j = 4 the candidates are 11 and 14:
+        # 11 - 2^2 = 7 is missing, and for 14 only the last square, 3^2,
+        # leaves a remainder (5) that is missing.  With 5 added both 6 and
+        # 14 join, and the bound cuts what lies above it
+        assert _next_tail([10, 13], 4, 100) == []
+        assert _next_tail([5, 10, 13], 4, 100) == [6, 14]
+        assert _next_tail([5, 10, 13], 4, 13) == [6]
+
+    @pytest.mark.parametrize("k", [30, 100])
+    def test_large_k_matches_dubouis(self, k):
+        level = expressibility_sieve(k, 2000)
+        clear = [n for n in range(1, 2001) if not level >> n & 1]
+        assert clear == dubouis_reference_set(k, 2000)
+
 
 class TestExceptionalSets:
     def test_five_squares_bound_40(self):
@@ -231,6 +260,21 @@ class TestExceptionalSets:
             for bound in bounds:
                 expected = tuple(n for n in slow if n <= bound)
                 assert exceptional_set(k, bound) == expected, (k, bound)
+
+    def test_sparse_read_holds_one_string(self):
+        # level 4 at 10^6 from its closed form, without the sieve: the read
+        # holds one binary string of bound + 1 digits, not a reversed copy too
+        bound = 10**6
+        clear = dubouis_reference_set(4, bound)
+        level = ((1 << (bound + 1)) - 2) ^ sum(1 << n for n in clear)
+        tracemalloc.start()
+        try:
+            got = exceptional_set(4, bound, level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == tuple(clear)
+        assert peak <= 1.25 * bound
 
     def test_validation(self):
         with pytest.raises(ValueError):
