@@ -128,21 +128,21 @@ del _bit
 _ONE = re.compile("1")
 
 
-def _reversed(x: int, bound: int) -> int:
-    """x < 2^(bound + 1) with each bit n moved to bit bound - n.
+def _reversed(x: int, top: int) -> int:
+    """x < 2^(top + 1) with each bit n moved to bit top - n.
 
     Bit t of the little-endian bytes, each byte's bits reversed, is bit
     8 * len - 1 - t of the same bytes read big-endian.
     """
-    raw = x.to_bytes(bound // 8 + 1, "little").translate(_REVERSED_BYTE)
-    return int.from_bytes(raw, "big") >> (7 - bound % 8)
+    raw = x.to_bytes(top // 8 + 1, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(raw, "big") >> (7 - top % 8)
 
 
 def _members(reversed_set: int) -> tuple[int, ...]:
-    """The n >= 1 of a set held with bit bound - n standing for n, ascending.
+    """The n >= 1 of a set held with bit top - n standing for n, ascending.
 
-    Bit bound stands for 0 and must be set: then the binary string has
-    bound + 1 digits and digit n stands for n, so one regex scan of that
+    Bit top stands for 0 and must be set: then the binary string has
+    top + 1 digits and digit n stands for n, so one regex scan of that
     one string finds the members in C.
     """
     return tuple(map(re.Match.start, _ONE.finditer(format(reversed_set, "b"), 1)))
@@ -211,8 +211,9 @@ def exceptional_set(
 
     `level` is expressibility_sieve(k, bound) when the caller already has
     it; otherwise the sieve is built here.  The complement of bits 1..bound,
-    with bit 0 set, is bit-reversed and read by `_members`, so the call
-    holds one binary string of bound + 1 digits and no reversed copy of it.
+    with bit 0 set, is bit-reversed up to its highest member and read by
+    `_members`, so the call holds one binary string as long as that member
+    and no reversed copy of it.
     """
     if k < 3:
         raise ValueError(f"exceptional_set requires k >= 3, got {k}")
@@ -220,7 +221,8 @@ def exceptional_set(
         raise ValueError(f"bound must be positive, got {bound}")
     if level is None:
         level = expressibility_sieve(k, bound)
-    return _members(_reversed(~level & ((1 << (bound + 1)) - 2) | 1, bound))
+    clear = ~level & ((1 << (bound + 1)) - 2) | 1
+    return _members(_reversed(clear, clear.bit_length() - 1))
 
 
 def hurwitz_exceptions(bound: int, level: Optional[int] = None) -> list[int]:
