@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -262,6 +263,7 @@ def _cmd_search2(args: argparse.Namespace) -> int:
 # Argument parsing
 
 
+@cache  # built on the first run, not at import, and reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqadd",

@@ -172,16 +172,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 class _Counter:
-    """Shared step counter; raises when the budget runs out."""
+    """One limit of a run: steps, branches or grid candidates; the only raiser of BudgetExhausted."""
 
     __slots__ = ("steps", "limit")
 
-    def __init__(self, limit: int):
-        self.steps = 0
+    def __init__(self, limit: int, steps: int = 0):
+        self.steps = steps
         self.limit = limit
 
     def tick(self, what: str = "propagation", weight: int = 1) -> None:
-        """Spend ``weight`` steps; it raises where ``weight`` single ticks would."""
+        """Spend ``weight``; it raises where ``weight`` single ticks would."""
         self.steps += weight
         if self.steps > self.limit:
             self.steps = self.limit + 1
@@ -278,11 +278,7 @@ def generate_equations(k: int, bound: int, pf: PartialFunction) -> list[Equation
 # Propagation
 
 
-def propagate(
-    state: BranchState,
-    budget: Optional[EngineBudget] = None,
-    counter: Optional[_Counter] = None,
-) -> BranchState:
+def propagate(state: BranchState, counter: Optional[_Counter] = None) -> BranchState:
     """Run every propagation rule to fixpoint.
 
     (a) constant-fold pending equations under current assignments;
@@ -298,10 +294,10 @@ def propagate(
         dropped silently.
 
     The memo of failed derivation scans lives for the whole call, so a
-    pass rerun on an unchanged state replays its scans.
+    pass rerun on an unchanged state replays its scans.  Steps tick
+    ``counter``, by default a fresh one at the ``EngineBudget()`` limit.
     """
-    budget = budget or EngineBudget()
-    counter = counter or _Counter(budget.max_steps)
+    counter = counter or _Counter(EngineBudget().max_steps)
     pending = state.pending
 
     site_index: dict[int, set[int]] = {}
@@ -347,7 +343,7 @@ def propagate(
                     site, value = solved
                     apply_assignment(site, value, "assign", provenance_fields(eq.provenance))
                     progress = True
-            if not _derive_pass(state, budget, counter, apply_assignment, failed) and not progress:
+            if not _derive_pass(state, apply_assignment, counter, failed) and not progress:
                 break
     except _Contradiction:
         pass
@@ -360,9 +356,8 @@ def propagate(
 
 def _derive_pass(
     state: BranchState,
-    budget: EngineBudget,
-    counter: _Counter,
     apply_assignment: Callable[[int, Fraction, str, dict], None],
+    counter: _Counter,
     failed: dict[int, tuple[int, int, Counter[int]]],
 ) -> bool:
     """Pin a stuck site through equations beyond the generation bound.
@@ -371,9 +366,9 @@ def _derive_pass(
     f(2*4^m) when 2*4^m has no representation and its small multiples are
     out of range).  For those, an additivity instance at a coprime multiple
     m * p^e with f(m) known divides through to the missing value, exactly
-    the coprime-multiple argument the inductive proofs use.  The signature
-    matches the other stages (state, budget, counter); the step budget is
-    enforced through the counter.  True once a site is pinned; an instance
+    the coprime-multiple argument the inductive proofs use.  Each multiple
+    scanned ticks ``counter``, the run's step counter, which stays third so
+    that a wrapper finds it there.  True once a site is pinned; an instance
     folding to a nonzero constant raises through ``state.contradict``.
 
     A scan that finds nothing finds nothing again until the assignment state
@@ -502,11 +497,7 @@ def _eliminate_work(state: BranchState) -> list[Poly]:
     return work
 
 
-def eliminate(
-    state: BranchState,
-    budget: Optional[EngineBudget] = None,
-    counter: Optional[_Counter] = None,
-) -> Optional[tuple[int, Poly]]:
+def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optional[tuple[int, Poly]]:
     """Derive a univariate eliminant from the pending system, if any.
 
     Substitution closure over the pending equations and their same-n cross
@@ -531,10 +522,10 @@ def eliminate(
     once per copy, and the first copy wins every tie.  When a row becomes a
     source its spares would be substituted by the row itself and vanish;
     at the cap they are left alone, and the lowest spare lives on as an
-    ordinary row holding the rest.
+    ordinary row holding the rest.  Substitutions tick ``counter``, by
+    default a fresh one at the ``EngineBudget()`` limit.
     """
-    budget = budget or EngineBudget()
-    counter = counter or _Counter(budget.max_steps)
+    counter = counter or _Counter(EngineBudget().max_steps)
     work = _eliminate_work(state)
     counts = [0] * len(work)  # symbols in each row
     occurs: dict[int, set[int]] = {}  # symbol -> the live rows holding it
@@ -556,16 +547,14 @@ def eliminate(
             occurs[sym].discard(idx)
 
     spares: dict[int, list[int]] = {}  # first copy -> its later copies
-    buckets: dict[int, list[int]] = {}  # hash of the terms -> first copies
+    firsts: dict[int, int] = {}  # hash of the terms -> the first row with it
     for idx, poly in enumerate(work):
-        firsts = buckets.setdefault(hash(frozenset(poly.terms.items())), [])
-        first = next((i for i in firsts if work[i].terms == poly.terms), None)
-        if first is None:
-            firsts.append(idx)
-            enter(idx, poly)
-        else:
+        first = firsts.setdefault(hash(frozenset(poly.terms.items())), idx)
+        if first != idx and work[first].terms == poly.terms:
             spares.setdefault(first, []).append(idx)
-    del buckets
+        else:  # a first copy, or a row whose hash collides: a live row
+            enter(idx, poly)
+    del firsts
 
     sub_counts = [0] * len(work)
     substituted: set[int] = set()
@@ -715,15 +704,14 @@ def _explore(
     pf = PartialFunction.upto(bound)
     root = BranchState(pf=pf, pending=generate_equations(k, bound, pf), k=k, bound=bound)
     counter = _Counter(budget.max_steps)
-    branch_total = 1
+    branches = _Counter(budget.max_branches, steps=1)  # the root
     survivors: list[BranchState] = []
 
     def explore(branch: BranchState) -> None:
-        nonlocal branch_total
-        propagate(branch, budget, counter)
+        propagate(branch, counter=counter)
         if branch.status == CONTRADICTION:
             return
-        found = eliminate(branch, budget, counter)
+        found = eliminate(branch, counter=counter)
         if found is None:
             branch.status = SATURATED
             branch.record("saturated", {}, {"free": branch.pf.unassigned_sites(bound)})
@@ -746,9 +734,7 @@ def _explore(
             {"eliminant": str(eliminant), "symbol": symbol_name(site), "site": site},
             {"roots": [str(r) for r in roots]},
         )
-        branch_total += len(roots)
-        if branch_total > budget.max_branches:
-            raise BudgetExhausted("branches", budget.max_branches + 1)
+        branches.tick("branches", len(roots))
         for idx, r in enumerate(roots):
             explore(branch.fork(idx, site, r))
 
@@ -894,7 +880,7 @@ def search_nonidentity(
     budget = budget or EngineBudget()
     survivors, _ = _explore(k, bound, budget)
     identity = identity_table(bound)
-    attempts = 0
+    grid = _Counter(budget.max_branches * _WITNESS_GRID_PER_BRANCH)
     for branch in survivors:
         base = dict(identity)
         base.update(branch.pf.assigned_table(limit=bound))
@@ -906,9 +892,7 @@ def search_nonidentity(
             for value in _WITNESS_GRID:
                 if value == site:
                     continue
-                attempts += 1
-                if attempts > budget.max_branches * _WITNESS_GRID_PER_BRANCH:
-                    raise BudgetExhausted("witness grid", attempts)
+                grid.tick("witness grid")
                 candidate = dict(base)
                 candidate[site] = value
                 report = verify_assignment(candidate, k, bound)

@@ -2,9 +2,10 @@
 
 `eliminate_reference` is `sqadd.engine.eliminate` as it was before later
 copies of a row were merged into the first copy: every copy is a live row,
-substituted and ticked one at a time.  The only edit is that the two caps
-are read from `sqadd.engine`, so a test that patches them there patches
-both closures.  The differential tests compare the two on
+substituted and ticked one at a time.  The two caps are read from
+`sqadd.engine`, so a test that patches them there patches both closures,
+and the signature follows `eliminate`'s (state, counter); the algorithm is
+unedited.  The differential tests compare the two on
 `(result, counter.steps)`.
 """
 
@@ -17,11 +18,9 @@ from sqadd.poly import Poly
 
 def eliminate_reference(
     state: BranchState,
-    budget: Optional[EngineBudget] = None,
     counter: Optional[_Counter] = None,
 ) -> Optional[tuple[int, Poly]]:
-    budget = budget or EngineBudget()
-    counter = counter or _Counter(budget.max_steps)
+    counter = counter or _Counter(EngineBudget().max_steps)
     work = _eliminate_work(state)
     counts = [0] * len(work)  # symbols in each row
     occurs: dict[int, set[int]] = {}  # symbol -> the live rows holding it

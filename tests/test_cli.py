@@ -11,7 +11,7 @@ from jsonschema import validate
 
 from sqadd.arith import identity_table
 from sqadd.cache import cache_path
-from sqadd.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
+from sqadd.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _build_parser, run
 from sqadd.squares import SIEVE_MAX_BOUND
 
 
@@ -453,6 +453,22 @@ class TestUsage:
 
     def test_no_subcommand(self, capsys):
         assert run([]) == EXIT_USAGE
+
+    # One parser serves every run of a process; a usage error leaves it
+    # as it was for the runs after it.
+    def test_parser_is_built_once_and_reused(self, capsys):
+        assert _build_parser() is _build_parser()
+        code, out, err = invoke(["exceptions", "2", "100"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "must be at least 3, got 2" in err
+        goldens = {case["name"]: case for case in GOLDENS}
+        for name in ("exceptions 5 40 [text]", "deduce 3 60 [json]"):
+            (step,) = goldens[name]["runs"]
+            argv = step["argv"].split()
+            if name.startswith("exceptions"):
+                argv = argv[: argv.index("--format")]  # text is the default
+            got = invoke(argv, capsys)
+            assert got == (step["exit"], step["stdout"], step["stderr"])
 
     @pytest.mark.parametrize(
         "argv",

@@ -392,6 +392,17 @@ class TestRunUniqueness:
         assert (err.value.what, err.value.spent) == ("branches", 3)
         assert run_uniqueness(3, 200, EngineBudget(max_branches=3)).kind == "forced"
 
+    # The root is the first branch but is never charged against the limit:
+    # a run without a split fits a limit of 0, and the first split is over it.
+    def test_zero_branch_budget_counts_the_root(self):
+        assert run_uniqueness(4, 60, EngineBudget(max_branches=0)).kind == "forced"
+        with pytest.raises(BudgetExhausted) as err:
+            run_uniqueness(3, 60, EngineBudget(max_branches=0))
+        assert str(err.value) == (
+            "budget exhausted: branches after 1 branches, "
+            "over the limit of 0 set by --max-branches"
+        )
+
     def test_trace_deterministic(self):
         a = run_uniqueness(3, 40)
         b = run_uniqueness(3, 40)

@@ -61,7 +61,7 @@ def random_system(rng: random.Random) -> BranchState:
 def outcome(closure, state: BranchState, limit: int = 10**9):
     counter = _Counter(limit)
     try:
-        return closure(state, None, counter), counter.steps
+        return closure(state, counter), counter.steps
     except BudgetExhausted as err:
         return (err.what, err.spent), None
 
@@ -93,3 +93,15 @@ def test_generated_roots(monkeypatch, k, bound, cap):
     assert_same(state)
     propagate(state)
     assert_same(state)
+
+
+def test_rows_whose_hashes_collide_are_not_copies():
+    # hash(-1) == hash(-2), so x3 - x2 and x3 - 2*x2 hash alike; only the
+    # second row, kept live, lets x3 = x2 reduce it to the eliminant -x2
+    rows = [Poly({(3,): 1, (2,): -1}), Poly({(3,): 1, (2,): -2})]
+    pending = [Equation(poly, Multiplicativity(i, 1, i)) for i, poly in enumerate(rows)]
+    state = BranchState(pf=PartialFunction(), pending=pending, k=2, bound=10)
+    first, second = (frozenset(poly.terms.items()) for poly in engine._eliminate_work(state))
+    assert first != second and hash(first) == hash(second)
+    assert_same(state)
+    assert eliminate(state) == (2, Poly({(2,): 1}))
