@@ -172,7 +172,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 class _Counter:
-    """One limit of a run: steps, branches or grid candidates; the only raiser of BudgetExhausted."""
+    """A limit (steps, branches or grid candidates); its tick alone raises BudgetExhausted."""
 
     __slots__ = ("steps", "limit")
 
