@@ -102,20 +102,14 @@ class BudgetExhausted(RuntimeError):
     """Raise the bound or the budget; never a mathematical claim.
 
     `what` names the budget that ran out: an engine stage, which spends
-    steps under --max-steps; "branches", under --max-branches; or "witness
-    grid", whose candidates --max-branches also caps.  `spent` is the first
-    count over the limit, so the limit is spent - 1.
+    steps under --max-steps, or "branches", under --max-branches.  `spent`
+    is the first count over the limit, so the limit is spent - 1.
     """
 
     def __init__(self, what: str, spent: int):
         limit = spent - 1
         if what == "branches":
             detail = f"{spent} branches, over the limit of {limit} set by --max-branches"
-        elif what == "witness grid":
-            detail = (
-                f"{spent} candidates, over the limit of {limit} (the grid tries at most "
-                f"{_WITNESS_GRID_PER_BRANCH} x --max-branches candidates)"
-            )
         else:
             detail = f"{spent} steps, over the limit of {limit} set by --max-steps"
         super().__init__(f"budget exhausted: {what} after {detail}")
@@ -172,7 +166,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 class _Counter:
-    """A limit (steps, branches or grid candidates); its tick alone raises BudgetExhausted."""
+    """A limit (steps or branches); its tick alone raises BudgetExhausted."""
 
     __slots__ = ("steps", "limit")
 
@@ -848,20 +842,10 @@ def verify_assignment(
     return VerificationReport(True, None, checked)
 
 
-# Candidate values tried at each free site, in order.  Small rationals are
-# enough: a genuinely free site accepts any value.
-_WITNESS_GRID = (
-    Fraction(1),
-    Fraction(0),
-    Fraction(2),
-    Fraction(3),
-    Fraction(1, 2),
-    Fraction(-1),
-    Fraction(5),
-)
-
-# The grid tries at most this many candidates per branch the budget allows.
-_WITNESS_GRID_PER_BRANCH = 16
+def _free_by_absence(branch: BranchState, limit: int) -> list[int]:
+    """Unassigned sites <= limit that occur in no pending equation of branch."""
+    present = set().union(*(eq.poly.symbols() for eq in branch.pending if eq is not None))
+    return [site for site in branch.pf.unassigned_sites(limit) if site not in present]
 
 
 def search_nonidentity(
@@ -872,30 +856,24 @@ def search_nonidentity(
 ) -> Optional[dict[int, Fraction]]:
     """Hunt for a non-identity multiplicative model of the k-additive system.
 
-    Surviving branches of the uniqueness run are instantiated on their free
-    sites (up to site_bound) over a small rational grid, identity elsewhere,
-    and each candidate is model-checked by verify_assignment.  Returns the
-    first passing table that differs from the identity, or None.
+    Each surviving branch, in order, offers its own table with the identity
+    elsewhere.  If that is the identity or fails, the branch's lowest site
+    free by absence at or below min(site_bound, bound) is set to 1.  Such a
+    site occurs in no pending equation, and the branch's assignments settle
+    every other generated equation, so any value there keeps them all.
+    verify_assignment still checks each candidate.  Returns the first that
+    passes, or None.
     """
-    budget = budget or EngineBudget()
-    survivors, _ = _explore(k, bound, budget)
+    survivors, _ = _explore(k, bound, budget or EngineBudget())
     identity = identity_table(bound)
-    grid = _Counter(budget.max_branches * _WITNESS_GRID_PER_BRANCH)
     for branch in survivors:
         base = dict(identity)
         base.update(branch.pf.assigned_table(limit=bound))
-        if base != identity:
-            report = verify_assignment(base, k, bound)
-            if report.ok:
-                return base
-        for site in branch.pf.unassigned_sites(limit=min(site_bound, bound)):
-            for value in _WITNESS_GRID:
-                if value == site:
-                    continue
-                grid.tick("witness grid")
-                candidate = dict(base)
-                candidate[site] = value
-                report = verify_assignment(candidate, k, bound)
-                if report.ok:
-                    return candidate
+        if base != identity and verify_assignment(base, k, bound).ok:
+            return base
+        free = _free_by_absence(branch, min(site_bound, bound))
+        if free:
+            candidate = {**base, free[0]: Fraction(1)}
+            if verify_assignment(candidate, k, bound).ok:
+                return candidate
     return None

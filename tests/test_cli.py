@@ -256,14 +256,17 @@ class TestDeduce:
         assert "budget exhausted: branches" in err
 
     def test_branch_budget_message_names_unit_and_flag(self, capsys):
-        code, out, err = invoke(
-            ["deduce", "7", "42", "--max-branches", "6", "--force"], capsys
-        )
-        assert (code, out) == (EXIT_BUDGET, "")
-        assert err == (
-            "error: budget exhausted: branches after 7 branches, "
-            "over the limit of 6 set by --max-branches\n"
-        )
+        cases = [
+            (["deduce", "7", "42", "--max-branches", "6", "--force"], 7, 6),
+            (["search2", "400", "--max-branches", "1"], 2, 1),
+        ]
+        for argv, spent, limit in cases:
+            code, out, err = invoke(argv, capsys)
+            assert (code, out) == (EXIT_BUDGET, "")
+            assert err == (
+                f"error: budget exhausted: branches after {spent} branches, "
+                f"over the limit of {limit} set by --max-branches\n"
+            )
 
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"

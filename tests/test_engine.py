@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_poly import mul, neg, sub
+from reference_witness import search_nonidentity_reference
 
 from sqadd import engine
 from sqadd.arith import PartialFunction, identity_table
@@ -554,23 +555,52 @@ class TestSearchNonidentity:
         assert any(value != site for site, value in table.items())
         assert verify_assignment(table, 2, 500).ok
 
-    # Sixteen grid candidates per allowed branch, then the search stops.
-    @pytest.mark.parametrize("branches", [1, 2, 4])
-    def test_witness_grid_budget(self, branches):
-        with pytest.raises(BudgetExhausted) as err:
-            search_nonidentity(5, 21, 21, EngineBudget(max_branches=branches))
-        assert (err.value.what, err.value.spent) == ("witness grid", 16 * branches + 1)
+    # --max-branches caps only the deduction's branches, and (5, 21) makes
+    # no split; the witness search spends no limit of its own.
+    @pytest.mark.parametrize("branches", [1, 2, 4, 5])
+    def test_max_branches_caps_no_witness_candidates(self, branches):
+        assert search_nonidentity(5, 21, 21, EngineBudget(max_branches=branches)) is None
 
-    def test_witness_grid_budget_message(self):
-        with pytest.raises(BudgetExhausted) as err:
-            search_nonidentity(5, 21, 21, EngineBudget(max_branches=1))
-        assert str(err.value) == (
-            "budget exhausted: witness grid after 17 candidates, over the limit of 16 "
-            "(the grid tries at most 16 x --max-branches candidates)"
+    # For k = 2 the free sites are odd powers of primes congruent to 3 mod 4,
+    # which no square and no sum of two squares holds to an odd power.
+    def test_k2_free_sites_are_all_free_by_absence(self):
+        survivors, _ = engine._explore(2, 400, EngineBudget())
+        assert len(survivors) == 2
+        for branch in survivors:
+            free = engine._free_by_absence(branch, 400)
+            assert len(free) == 43
+            assert free == branch.pf.unassigned_sites(400)
+
+    @pytest.mark.parametrize(("k", "bound"), [(5, 21), (3, 100), (7, 100)])
+    def test_no_site_free_by_absence_for_k_at_least_3(self, k, bound):
+        survivors, _ = engine._explore(k, bound, EngineBudget())
+        assert survivors
+        assert all(engine._free_by_absence(b, bound) == [] for b in survivors)
+
+    @pytest.mark.parametrize("bound", range(3, 26))
+    def test_k2_small_witness_sets_f3_to_one(self, bound):
+        table = search_nonidentity(2, bound, bound)
+        expected = identity_table(bound)
+        expected[3] = Fraction(1)
+        assert table == expected
+
+    @pytest.mark.parametrize("bound", range(26, 41))
+    def test_k2_witness_is_the_first_survivor(self, bound):
+        survivors, _ = engine._explore(2, bound, EngineBudget())
+        expected = identity_table(bound)
+        expected.update(survivors[0].pf.assigned_table(limit=bound))
+        assert expected != identity_table(bound)
+        assert search_nonidentity(2, bound, bound) == expected
+
+    @pytest.mark.parametrize(
+        ("k", "bound", "site_bound"),
+        [(2, n, s) for n in range(2, 61) for s in sorted({1, 3, n})]
+        + [(k, n, n) for k in range(3, 7) for n in range(k, 31)],
+    )
+    def test_matches_the_reference_grid(self, k, bound, site_bound):
+        assert search_nonidentity(k, bound, site_bound) == search_nonidentity_reference(
+            k, bound, site_bound
         )
-
-    def test_witness_grid_that_fits_finds_nothing(self):
-        assert search_nonidentity(5, 21, 21, EngineBudget(max_branches=5)) is None
 
     def test_k2_small_respects_forced_two(self):
         table = search_nonidentity(2, 10, 5)
