@@ -32,7 +32,6 @@ from .squares import enumerate_representations
 # lexicographically first slice.  Keeps the equation count in check.
 REPRESENTATION_CAP = 64
 
-ELIMINANT_MAX_DEGREE = 4
 ELIMINANT_MAX_SUBSTITUTIONS = 6
 
 # Coprime-multiple derivation: multipliers m tried per prime power, and how
@@ -101,18 +100,14 @@ class EngineBudget:
 class BudgetExhausted(RuntimeError):
     """Raise the bound or the budget; never a mathematical claim.
 
-    `what` names the budget that ran out: an engine stage, which spends
-    steps under --max-steps, or "branches", under --max-branches.  `spent`
-    is the first count over the limit, so the limit is spent - 1.
+    `what` names the stage that ran out, `spent` is the first count over
+    the limit (so the limit is spent - 1), and `unit` and `flag` are the
+    counter's: what it counts and the option that sets its limit.
     """
 
-    def __init__(self, what: str, spent: int):
-        limit = spent - 1
-        if what == "branches":
-            detail = f"{spent} branches, over the limit of {limit} set by --max-branches"
-        else:
-            detail = f"{spent} steps, over the limit of {limit} set by --max-steps"
-        super().__init__(f"budget exhausted: {what} after {detail}")
+    def __init__(self, what: str, spent: int, unit: str, flag: str):
+        over = f"over the limit of {spent - 1} set by {flag}"
+        super().__init__(f"budget exhausted: {what} after {spent} {unit}, {over}")
         self.what = what
         self.spent = spent
 
@@ -166,20 +161,22 @@ def parse_rational(text: str) -> Fraction:
 
 
 class _Counter:
-    """A limit (steps or branches); its tick alone raises BudgetExhausted."""
+    """A limit, its unit and its flag; its tick alone raises BudgetExhausted."""
 
-    __slots__ = ("steps", "limit")
+    __slots__ = ("steps", "limit", "unit", "flag")
 
-    def __init__(self, limit: int, steps: int = 0):
+    def __init__(self, limit: int, steps: int = 0, unit: str = "steps", flag: str = "--max-steps"):
         self.steps = steps
         self.limit = limit
+        self.unit = unit
+        self.flag = flag
 
     def tick(self, what: str = "propagation", weight: int = 1) -> None:
         """Spend ``weight``; it raises where ``weight`` single ticks would."""
         self.steps += weight
         if self.steps > self.limit:
             self.steps = self.limit + 1
-            raise BudgetExhausted(what, self.steps)
+            raise BudgetExhausted(what, self.steps, self.unit, self.flag)
 
 
 class _Contradiction(Exception):
@@ -499,12 +496,11 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
     down, a linear row in the symbol and at least one other (the fewest
     others, then the earliest row) substitutes it away everywhere, at most
     ELIMINANT_MAX_SUBSTITUTIONS per row.  Every consequence that collapses
-    to one symbol with degree 1..ELIMINANT_MAX_DEGREE is collected; the
-    winner is the lowest-site symbol, breaking ties toward the earliest
-    equation in generation order, primitive-normalized.  Scaling a row
-    changes none of these choices, so integer rows choose as rational rows
-    would.  Deterministic; None when the closure finds nothing within
-    bounds.
+    to one symbol is collected; the winner is the lowest-site symbol,
+    breaking ties toward the earliest equation in generation order,
+    primitive-normalized.  Scaling a row changes none of these choices, so
+    integer rows choose as rational rows would.  Deterministic; None when
+    the closure finds nothing within bounds.
 
     The index maps each symbol to exactly the live rows that hold it: a
     row leaves every list once it is a source, leaves a symbol's list when
@@ -515,9 +511,9 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
     index: copies receive the same substitutions, so a substitution ticks
     once per copy, and the first copy wins every tie.  When a row becomes a
     source its spares would be substituted by the row itself and vanish;
-    at the cap they are left alone, and the lowest spare lives on as an
-    ordinary row holding the rest.  Substitutions tick ``counter``, by
-    default a fresh one at the ``EngineBudget()`` limit.
+    at the cap each enters the index as an ordinary row instead, as in the
+    unmerged closure.  Substitutions tick ``counter``, by default a fresh
+    one at the ``EngineBudget()`` limit.
     """
     counter = counter or _Counter(EngineBudget().max_steps)
     work = _eliminate_work(state)
@@ -531,7 +527,7 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
         counts[idx] = len(syms)
         for sym in syms:
             occurs.setdefault(sym, set()).add(idx)
-        if len(syms) == 1 and 1 <= poly.total_degree() <= ELIMINANT_MAX_DEGREE:
+        if len(syms) == 1:
             (sym,) = syms
             if sym not in best or idx < best[sym][0]:
                 best[sym] = (idx, poly)
@@ -571,17 +567,14 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
             _, source = min(candidates)
             row = work[source]
             leave(source)
-            copies = spares.pop(source, None)
+            copies = spares.pop(source, ())
             if copies and sub_counts[source] < ELIMINANT_MAX_SUBSTITUTIONS:
                 # each copy is substituted by the row itself and vanishes
                 counter.tick("elimination", len(copies))
-            elif copies:
-                # copies at the cap stay: the lowest lives on as the row
-                heir = copies.pop(0)
-                sub_counts[heir] = sub_counts[source]
-                if copies:
-                    spares[heir] = copies
-                enter(heir, row)
+            else:  # copies at the cap are never substituted: ordinary rows
+                for copy in copies:
+                    sub_counts[copy] = sub_counts[source]
+                    enter(copy, row)
             substituted.add(sym)
             changed = True
             for idx in sorted(occurs[sym]):
@@ -698,7 +691,7 @@ def _explore(
     pf = PartialFunction.upto(bound)
     root = BranchState(pf=pf, pending=generate_equations(k, bound, pf), k=k, bound=bound)
     counter = _Counter(budget.max_steps)
-    branches = _Counter(budget.max_branches, steps=1)  # the root
+    branches = _Counter(budget.max_branches, 1, "branches", "--max-branches")  # the root
     survivors: list[BranchState] = []
 
     def explore(branch: BranchState) -> None:

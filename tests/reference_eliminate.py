@@ -2,11 +2,11 @@
 
 `eliminate_reference` is `sqadd.engine.eliminate` as it was before later
 copies of a row were merged into the first copy: every copy is a live row,
-substituted and ticked one at a time.  The two caps are read from
-`sqadd.engine`, so a test that patches them there patches both closures,
+substituted and ticked one at a time.  The substitution cap is read from
+`sqadd.engine`, so a test that patches it there patches both closures,
 and the signature follows `eliminate`'s (state, counter); the algorithm is
-unedited.  The differential tests compare the two on
-`(result, counter.steps)`.
+unedited but for the eliminant degree cap, which both closures dropped.
+The differential tests compare the two on `(result, counter.steps)`.
 """
 
 from typing import Optional
@@ -32,7 +32,7 @@ def eliminate_reference(
         counts[idx] = len(syms)
         for sym in syms:
             occurs.setdefault(sym, set()).add(idx)
-        if len(syms) == 1 and 1 <= poly.total_degree() <= engine.ELIMINANT_MAX_DEGREE:
+        if len(syms) == 1:
             (sym,) = syms
             if sym not in best or idx < best[sym][0]:
                 best[sym] = (idx, poly)
