@@ -13,6 +13,13 @@ side, the trace digests `bench/run.py` printed, every pair's metrics, and
 per metric the median and quartiles of each side (statistics.quantiles,
 n=4, inclusive), the number of pairs the change won and the change of the
 median in percent.  Which way is better comes from BENCHMARK.json.
+``claim_rule_met`` says whether a claimed gain on the metric would stand:
+the change wins at least 9 in 10 of the pairs (a tie counts for neither
+side), and its median is better than the parent's by more than the
+parent's q3 - q1.
+
+The process's peak RSS moves with the length of the checkout's path, so
+the script warns when the two paths differ in length.
 
 With --out the section is stored under the key WORKLOAD_seed_S (with
 _trace_1 for traced runs) of FILE, which keeps its other keys; without it
@@ -75,16 +82,31 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         change = [pair["change"][name] for pair in pairs]
         sign = -1 if better.get(name, "lower") == "lower" else 1
         p, c = spread(parent), spread(change)
+        wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
         summary[name] = {
             "parent": p,
             "change": c,
-            "change_wins": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
+            "change_wins": wins,
             "pairs": len(pairs),
             "median_change_pct": (
                 round(100 * (c["median"] - p["median"]) / p["median"], 1) if p["median"] else None
             ),
+            "claim_rule_met": (
+                10 * wins >= 9 * len(pairs)
+                and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]
+            ),
         }
     return summary
+
+
+def path_length_warning(parent: Path, change: Path) -> str | None:
+    """A warning when the two checkout paths differ in length, else None."""
+    if len(str(parent)) == len(str(change)):
+        return None
+    return (
+        f"warning: the checkout paths differ in length ({len(str(parent))} and "
+        f"{len(str(change))} characters); peak_rss_mb moves with that length"
+    )
 
 
 def main() -> int:
@@ -107,6 +129,9 @@ def main() -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    warning = path_length_warning(roots["parent"], roots["change"])
+    if warning:
+        print(warning, file=sys.stderr)
     pairs, digests = [], {}
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Optional
 
 from .poly import Poly, Rational, Scalar, as_scalar
@@ -31,6 +32,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """(p, e) pairs of n with strictly ascending primes; () encodes 1."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
+    root = isqrt(n)
+    if root > 1 and root * root == n:  # f(a^2) is read for every part a
+        return tuple((p, 2 * e) for p, e in factorize(root))
     pairs: list[tuple[int, int]] = []
     m = n
     for p in (2, 3, 5):
@@ -138,12 +142,13 @@ def prime_powers_upto(n: int) -> list[int]:
 class PartialFunction:
     """Assignment state of a multiplicative function on prime-power sites."""
 
-    __slots__ = ("_entries", "revision")
+    __slots__ = ("_entries", "revision", "_states")
 
     def __init__(self) -> None:
         self._entries: dict[int, Optional[Scalar]] = {}
         # bumped on every change of the entries: a new site or a new value
         self.revision = 0
+        self._states: Optional[tuple[int, list]] = None  # see peek_multiples
 
     @classmethod
     def upto(cls, bound: int) -> "PartialFunction":
@@ -254,6 +259,48 @@ class PartialFunction:
         if unknown:
             return 0, 0, tuple(unknown)
         return (coeff, 0, ()) if linear else (0, coeff, ())
+
+    def peek_multiples(self, base: int, site: int, first: int, last: int) -> dict[int, tuple[Scalar, Scalar]]:
+        """``peek(m * base, site)`` as (A, B) for each m in first..last prime
+        to the prime power base where it does not block; ``site`` is a power
+        of the same prime, as in the derivation scan.
+
+        f(m * base) = f(m) * f(base), and the states of f(m) for m <= last
+        are kept until the revision changes, so no m * base is factorized.
+        The rule is ``peek``'s: an untracked site blocks, else a known factor
+        0 gives (0, 0), else an unknown site other than ``site`` blocks.
+        """
+        if self._states is None or self._states[0] != self.revision or len(self._states[1]) <= last:
+            self._states = (self.revision, [None] + [self._factor_state(m) for m in range(1, last + 1)])
+        states = self._states[1]
+        ((p, _),) = factorize(base)
+        base_untracked, base_value, base_unknown = self._factor_state(base)
+        lefts: dict[int, tuple[Scalar, Scalar]] = {}
+        for m in range(first, last + 1):
+            untracked, value, unknown = states[m]
+            if base_untracked or untracked or m % p == 0:
+                continue
+            left = value * base_value
+            if not left:
+                lefts[m] = (0, 0)
+            elif not unknown and not (base_unknown and base != site):
+                lefts[m] = (left, 0) if base_unknown else (0, left)
+        return lefts
+
+    def _factor_state(self, n: int) -> tuple[bool, Scalar, bool]:
+        """Whether a site of n is untracked, the product of its known values,
+        and whether a site is unknown."""
+        untracked = unknown = False
+        coeff: Scalar = 1
+        for p, e in factorize(n):
+            q = p**e
+            if q not in self._entries:
+                untracked = True
+            elif self._entries[q] is None:
+                unknown = True
+            else:
+                coeff *= self._entries[q]
+        return untracked, coeff, unknown
 
     def known_value(self, n: int) -> Optional[Scalar]:
         """f(n) when every site of n is known, else None."""

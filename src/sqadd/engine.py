@@ -15,7 +15,6 @@ import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Callable, NoReturn, Optional, Union
 
 from .arith import (
@@ -371,20 +370,15 @@ def _derive_pass(
 
     def scan(site: int, blocked: Counter[int]) -> Optional[tuple[Fraction, dict]]:
         # Every instance is linear in x = f(site).  pf is fixed during one
-        # scan: f(a^2) = A*x + B and the sites it is blocked on, by part a
+        # scan: f(a^2) = A*x + B and the sites it is blocked on, by part a;
+        # the left side f(m * p^e2) = A*x + B by m, from peek_multiples
         p, e = prime_power_split(site)
         parts_seen: dict[int, tuple[Scalar, Scalar, tuple[int, ...]]] = {}
         for e2 in range(e, max(e - 2, 1) - 1, -1):
             base = p**e2
-            for m in range(1, DERIVE_MULTIPLIER_BOUND + 1):
-                if gcd(m, p) != 1:
-                    continue
+            lefts = pf.peek_multiples(base, site, state.bound // base + 1, DERIVE_MULTIPLIER_BOUND)
+            for m, (left_a, left_b) in lefts.items():
                 n2 = m * base
-                if n2 <= state.bound:
-                    continue
-                left_a, left_b, blocking = pf.peek(n2, site)
-                if blocking:
-                    continue
                 counter.tick("derivation")
                 for parts in enumerate_representations(n2, state.k, REPRESENTATION_CAP):
                     for a in parts:
@@ -392,7 +386,8 @@ def _derive_pass(
                         if seen is None:
                             seen = parts_seen[a] = pf.peek(a * a, site)
                         if seen[2]:
-                            blocked.update(seen[2])
+                            for blocker in seen[2]:
+                                blocked[blocker] += 1
                             break
                     else:  # no part blocked: the instance is coeff*x + const
                         coeff, const = left_a, left_b
@@ -505,7 +500,9 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
     The index maps each symbol to exactly the live rows that hold it: a
     row leaves every list once it is a source, leaves a symbol's list when
     a substitution removes the symbol (a row that vanishes leaves them
-    all), and joins the lists of the symbols it gains.
+    all), and joins the lists of the symbols it gains.  A row's symbol set,
+    and whether it can be a source, are recorded as it enters, so no sweep
+    reads its terms again.
 
     A later copy of a row is a spare of its first copy and never enters the
     index: copies receive the same substitutions, so a substitution ticks
@@ -517,24 +514,25 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
     """
     counter = counter or _Counter(EngineBudget().max_steps)
     work = _eliminate_work(state)
-    counts = [0] * len(work)  # symbols in each row
+    syms_of: list[set[int]] = [set()] * len(work)  # the symbols of each row
+    sizes = [0] * len(work)  # a row's symbol count if it can be a source, else 0
     occurs: dict[int, set[int]] = {}  # symbol -> the live rows holding it
     best: dict[int, tuple[int, Poly]] = {}
 
     def enter(idx: int, poly: Poly) -> None:
-        syms = poly.symbols()
-        work[idx] = poly
-        counts[idx] = len(syms)
-        for sym in syms:
+        """Make poly row idx, moving idx to the lists of its new symbols."""
+        syms = set().union(*poly.terms)
+        for sym in syms_of[idx] - syms:
+            occurs[sym].discard(idx)
+        for sym in syms - syms_of[idx]:
             occurs.setdefault(sym, set()).add(idx)
+        work[idx] = poly
+        syms_of[idx] = syms
+        sizes[idx] = len(syms) if len(syms) > 1 and max(map(len, poly.terms)) == 1 else 0
         if len(syms) == 1:
             (sym,) = syms
             if sym not in best or idx < best[sym][0]:
                 best[sym] = (idx, poly)
-
-    def leave(idx: int) -> None:
-        for sym in work[idx].symbols():
-            occurs[sym].discard(idx)
 
     spares: dict[int, list[int]] = {}  # first copy -> its later copies
     firsts: dict[int, int] = {}  # hash of the terms -> the first row with it
@@ -557,16 +555,13 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
             if sym in substituted:
                 continue
             # c*sym + r with r linear, free of sym and not constant
-            candidates = [
-                (counts[idx], idx)
-                for idx in occurs[sym]
-                if counts[idx] > 1 and work[idx].total_degree() == 1
-            ]
+            candidates = [(sizes[idx], idx) for idx in occurs[sym] if sizes[idx]]
             if not candidates:
                 continue
             _, source = min(candidates)
             row = work[source]
-            leave(source)
+            for other in syms_of[source]:
+                occurs[other].discard(source)
             copies = spares.pop(source, ())
             if copies and sub_counts[source] < ELIMINANT_MAX_SUBSTITUTIONS:
                 # each copy is substituted by the row itself and vanishes
@@ -582,7 +577,6 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
                     continue
                 counter.tick("elimination", 1 + len(spares.get(idx, ())))
                 sub_counts[idx] += 1
-                leave(idx)
                 enter(idx, work[idx].substitute_poly(sym, row))
 
     if not best:

@@ -62,7 +62,7 @@ def _times(a: Mapping[Monomial, Scalar], b: Mapping[Monomial, Scalar]) -> dict:
 class Poly:
     """Immutable multivariate polynomial with int or Fraction coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_plan")  # _plan: see substitute_poly
 
     def __init__(self, terms: Optional[Mapping[Monomial, Scalar]] = None):
         self.terms: dict[Monomial, Scalar] = (
@@ -142,31 +142,47 @@ class Poly:
         term c*symbol.  With d the highest power of ``symbol`` here, the
         result is c^d * self(symbol = -r/c) divided by its content, an
         integer row again; it vanishes where self(symbol = -r/c) does.
+        The powers of c and of -r are built once per (source, symbol) and
+        kept on ``source`` for its last symbol: the closure substitutes one
+        source into many rows in turn.
         """
-        c = source.terms[(symbol,)]
-        minus_r = {m: -v for m, v in source.terms.items() if m != (symbol,)}
+        plan = getattr(source, "_plan", None)
+        if plan is None or plan[0] != symbol:
+            c = source.terms[(symbol,)]
+            minus_r = {m: -v for m, v in source.terms.items() if m != (symbol,)}
+            plan = source._plan = (symbol, [1, c], [{(): 1}, minus_r])
+        _, c_powers, r_powers = plan  # c^j and (-r)^j, grown as needed
+        c, minus_r = c_powers[1], r_powers[1]
         counts = [mono.count(symbol) for mono in self.terms]
-        top = max(counts, default=0)
-        c_powers = [1]
-        for _ in range(top):
-            c_powers.append(c_powers[-1] * c)
-        r_powers: list[dict] = [{(): 1}]  # (-r)^j, built as needed
         terms: dict[Monomial, int] = {}
-        for (mono, coeff), count in zip(self.terms.items(), counts):
-            coeff *= c_powers[top - count]
-            if not count:
-                terms[mono] = terms.get(mono, 0) + coeff
-                continue
-            i = mono.index(symbol)  # a monomial is sorted: its copies are adjacent
-            rest = mono[:i] + mono[i + count :]
-            while len(r_powers) <= count:
+        if sum(counts) == 1 and (symbol,) in self.terms:
+            # symbol only in a*symbol: the row becomes c*rest - a*r
+            for mono, coeff in self.terms.items():
+                if mono == (symbol,):
+                    for m, v in minus_r.items():
+                        terms[m] = terms.get(m, 0) + coeff * v
+                else:
+                    terms[mono] = terms.get(mono, 0) + coeff * c
+        else:
+            top = max(counts, default=0)
+            while len(c_powers) <= top:
+                c_powers.append(c_powers[-1] * c)
                 r_powers.append(_times(r_powers[-1], minus_r))
-            for m, v in r_powers[count].items():
-                m = _merge(rest, m)
-                terms[m] = terms.get(m, 0) + coeff * v
+            for (mono, coeff), count in zip(self.terms.items(), counts):
+                coeff *= c_powers[top - count]
+                if not count:
+                    terms[mono] = terms.get(mono, 0) + coeff
+                    continue
+                i = mono.index(symbol)  # a monomial is sorted: its copies are adjacent
+                rest = mono[:i] + mono[i + count :]
+                for m, v in r_powers[count].items():
+                    m = _merge(rest, m)
+                    terms[m] = terms.get(m, 0) + coeff * v
         content = gcd(*terms.values())
         if not content:
             return Poly()
+        if content == 1:
+            return Poly(terms)
         return Poly({m: v // content for m, v in terms.items()})
 
     def minus_sum(self, parts: Iterable["Poly"]) -> "Poly":
@@ -207,9 +223,11 @@ class Poly:
         """Scale to coprime integer coefficients with positive leading term."""
         if not self.terms:
             return self
-        ratios = {m: c.as_integer_ratio() for m, c in self.terms.items()}
-        den = lcm(*(d for _, d in ratios.values()))
-        ints = {m: n * (den // d) for m, (n, d) in ratios.items()}
+        ints = self.terms
+        if not all(type(c) is int for c in ints.values()):
+            ratios = {m: c.as_integer_ratio() for m, c in ints.items()}
+            den = lcm(*(d for _, d in ratios.values()))
+            ints = {m: n * (den // d) for m, (n, d) in ratios.items()}
         content = gcd(*ints.values())
         if ints[max(ints, key=_monomial_key)] < 0:
             content = -content

@@ -4,9 +4,15 @@ The engine builds its equations with `Poly.minus_sum`, `substitute` and
 `substitute_poly` and never adds or multiplies two polys, so the ring
 operations live here, as the reference the ring-law and substitution tests
 check `Poly` against.  An int or Fraction operand stands for a constant.
+
+`substitute_poly_reference` is `Poly.substitute_poly` as it was before it
+kept the powers of c and -r on the source and gained its linear fast path:
+the body is unedited, with `self` named `row`.
 """
 
-from sqadd.poly import Poly, _times
+from math import gcd
+
+from sqadd.poly import Monomial, Poly, _merge, _times
 
 
 def as_poly(value) -> Poly:
@@ -30,3 +36,31 @@ def sub(a, b) -> Poly:
 
 def mul(a, b) -> Poly:
     return Poly(_times(as_poly(a).terms, as_poly(b).terms))
+
+
+def substitute_poly_reference(row: Poly, symbol: int, source: Poly) -> Poly:
+    c = source.terms[(symbol,)]
+    minus_r = {m: -v for m, v in source.terms.items() if m != (symbol,)}
+    counts = [mono.count(symbol) for mono in row.terms]
+    top = max(counts, default=0)
+    c_powers = [1]
+    for _ in range(top):
+        c_powers.append(c_powers[-1] * c)
+    r_powers: list[dict] = [{(): 1}]  # (-r)^j, built as needed
+    terms: dict[Monomial, int] = {}
+    for (mono, coeff), count in zip(row.terms.items(), counts):
+        coeff *= c_powers[top - count]
+        if not count:
+            terms[mono] = terms.get(mono, 0) + coeff
+            continue
+        i = mono.index(symbol)  # a monomial is sorted: its copies are adjacent
+        rest = mono[:i] + mono[i + count :]
+        while len(r_powers) <= count:
+            r_powers.append(_times(r_powers[-1], minus_r))
+        for m, v in r_powers[count].items():
+            m = _merge(rest, m)
+            terms[m] = terms.get(m, 0) + coeff * v
+    content = gcd(*terms.values())
+    if not content:
+        return Poly()
+    return Poly({m: v // content for m, v in terms.items()})

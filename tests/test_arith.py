@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_poly import mul
 
 from sqadd.arith import (
@@ -62,6 +64,85 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_a_square_doubles_the_exponents_of_its_root(self):
+        # squares far from the ones other tests factorize, so each is a miss
+        for a in [*range(10**6, 10**6 + 300), 10007, 2**20 * 3, 999983 * 7]:
+            assert factorize(a * a) == tuple((p, 2 * e) for p, e in factorize(a)), a
+            assert prod(p**e for p, e in factorize(a * a)) == a * a
+
+
+# The derivation scan's left side f(m * p^e2) for p not dividing m: every
+# site a prime power up to 48 (the sites of m) or a power of 2, 3, 5 or 7
+# (the sites p^e2), each untracked, unknown, 0, an integer or a Fraction.
+MULTIPLIER_BOUND = 48
+PEEK_SITES = sorted(
+    set(prime_powers_upto(MULTIPLIER_BOUND)) | {p**e for p in (2, 3, 5, 7) for e in range(1, 7)}
+)
+STATES = ["untracked", "unknown", 0, 1, -2, 7, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+site_states = st.sampled_from(STATES)
+
+
+def partial_function(states: list) -> PartialFunction:
+    pf = PartialFunction()
+    for site, state in zip(PEEK_SITES, states):
+        if state == "unknown":
+            pf.ensure_site(site)
+        elif state != "untracked":
+            pf.assign(site, state)
+    return pf
+
+
+def assert_left_sides_match_peek(pf, p, e, e2, first):
+    base, site = p**e2, p**e
+    lefts = pf.peek_multiples(base, site, first, MULTIPLIER_BOUND)
+    assert all(first <= m <= MULTIPLIER_BOUND and m % p for m in lefts)
+    for m in range(first, MULTIPLIER_BOUND + 1):
+        if m % p == 0:
+            continue
+        a, b, blocking = pf.peek(m * base, site)
+        if blocking:
+            assert m not in lefts, (m, blocking)
+        else:
+            got = lefts[m]
+            assert got == (a, b), m
+            assert tuple(map(type, got)) == (type(a), type(b)), m
+
+
+class TestPeekMultiples:
+    @given(
+        st.lists(site_states, min_size=len(PEEK_SITES), max_size=len(PEEK_SITES)),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(1, 6),
+        st.integers(0, 2),
+        st.integers(1, MULTIPLIER_BOUND),
+        st.sampled_from(PEEK_SITES),
+        site_states,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_peek(self, states, p, e, drop, first, changed, new_state):
+        e2 = max(e - drop, 1)
+        pf = partial_function(states)
+        assert_left_sides_match_peek(pf, p, e, e2, first)
+        # one more change moves the revision on; nothing stale may be read
+        if new_state == "unknown":
+            pf.ensure_site(changed)
+        elif new_state != "untracked" and pf.known(changed) is None:
+            pf.assign(changed, new_state)
+        assert_left_sides_match_peek(pf, p, e, e2, first)
+
+    def test_order_of_the_blocking_rules(self):
+        # f(2) = 0, f(3) unknown, f(7) untracked; site and base 25
+        pf = PartialFunction()
+        pf.assign(2, 0)
+        pf.ensure_site(3)
+        pf.ensure_site(25)
+        lefts = pf.peek_multiples(25, 25, 1, 14)
+        assert lefts[1] == (1, 0)  # f(25) = x
+        assert lefts[2] == (0, 0)  # a known zero does not block,
+        assert lefts[6] == (0, 0)  # not even next to an unknown site,
+        assert 14 not in lefts  # but an untracked site blocks first
+        assert 3 not in lefts and 7 not in lefts
 
 
 class TestPrimePowers:

@@ -413,7 +413,8 @@ class TestRunUniqueness:
     # search.  (3, 200) leans on coprime-multiple derivation, (5, 120) and
     # (6, 140) on elimination (the integer-row substitution), and (7, 100)
     # on both, with four splits; (6, 140) and (7, 42) match
-    # bench/baseline.json.
+    # bench/baseline.json.  (3, 1000) is the largest closure the suite
+    # affords.
     @pytest.mark.parametrize(
         "k, bound, digest",
         [
@@ -424,6 +425,7 @@ class TestRunUniqueness:
             (6, 140, "75215910828c1804ae61e05e6fb4a8d920a998b3605fa88614be8f7e2eb7bd80"),
             (7, 42, "fcf91932b40118ad2785dcb9de5b2133c61994ffd3e084939f258ecd8e6d67c7"),
             (7, 100, "f78067a028e9f8c941978e636e582c6146ca9266d42a6d16054ce37ab0847a80"),
+            (3, 1000, "20d9580e61e311661bf35622ee146ec2338ee4326bee76c2521b3bc614f19687"),
         ],
     )
     def test_trace_golden_digest(self, k, bound, digest):

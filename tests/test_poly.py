@@ -7,9 +7,9 @@ them, so `Poly` does not carry them.
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_poly import add, mul, sub
+from reference_poly import add, mul, sub, substitute_poly_reference
 
 from sqadd.engine import rational_roots
 from sqadd.poly import Poly
@@ -163,6 +163,62 @@ class TestIntegerSubstitution:
         # 2*x4 + 2*x2 with x4 = x2 is 4*x2, content 4
         p = Poly({(X4,): 2, (X2,): 2})
         assert p.substitute_poly(X4, Poly({(X4,): 1, (X2,): -1})) == Poly({(X2,): 1})
+
+
+# rows for the differential: x4 up to the fourth power, next to other sites
+# or alone, and rows without x4 at all
+X3, X5 = 3, 5
+row_monomials = st.tuples(
+    st.integers(0, 4), st.lists(st.sampled_from([X2, X3, X5, X9]), max_size=2)
+).map(lambda t: tuple(sorted([X4] * t[0] + t[1])))
+integer_rows = st.dictionaries(row_monomials, st.integers(-9, 9), max_size=5).map(Poly)
+# r of a source: linear or not, with or without a constant term, free of x4 and x5
+source_rests = st.dictionaries(
+    st.lists(st.sampled_from([X2, X3, X9]), max_size=2).map(lambda s: tuple(sorted(s))),
+    st.integers(-9, 9),
+    max_size=4,
+)
+nonzero = st.integers(-7, 7).filter(bool)
+
+
+def same_terms(got: Poly, expected: Poly) -> None:
+    # the same terms with the same signs, in the same order
+    assert list(got.terms.items()) == list(expected.terms.items())
+
+
+class TestSubstitutionMatchesReference:
+    """`substitute_poly` against the reference without a kept plan or a fast path."""
+
+    @given(integer_rows, nonzero, source_rests)
+    @settings(max_examples=300)
+    def test_matches_the_reference(self, row, c, rest):
+        source = Poly({**rest, (X4,): c})
+        same_terms(row.substitute_poly(X4, source), substitute_poly_reference(row, X4, source))
+
+    @given(integer_rows, nonzero, source_rests)
+    def test_a_row_without_the_symbol_comes_out_primitive(self, row, c, rest):
+        row = Poly({m: 6 * v for m, v in row.terms.items() if X4 not in m})
+        source = Poly({**rest, (X4,): c})
+        got = row.substitute_poly(X4, source)
+        same_terms(got, substitute_poly_reference(row, X4, source))
+        assert got.is_zero() or gcd(*got.terms.values()) == 1
+
+    @given(st.lists(integer_rows, min_size=1, max_size=4), nonzero, nonzero, source_rests)
+    def test_one_source_for_two_symbols(self, rows, c4, c5, rest):
+        # c4*x4 + c5*x5 + r eliminates x4 and x5 in turn; neither symbol may
+        # reuse what the source kept for the other
+        source = Poly({**rest, (X4,): c4, (X5,): c5})
+        for row in rows:
+            for symbol in (X4, X5, X4):
+                same_terms(
+                    row.substitute_poly(symbol, source),
+                    substitute_poly_reference(row, symbol, source),
+                )
+
+    @given(st.dictionaries(monomials, st.integers(-12, 12), max_size=4))
+    def test_primitive_of_an_int_row_matches_its_fraction_copy(self, terms):
+        as_fractions = Poly({m: Fraction(v) for m, v in terms.items()})
+        same_terms(Poly(terms).primitive(), as_fractions.primitive())
 
 
 class TestMinusSum:
