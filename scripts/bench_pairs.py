@@ -19,7 +19,9 @@ side), and its median is better than the parent's by more than the
 parent's q3 - q1.
 
 The process's peak RSS moves with the length of the checkout's path, so
-the script warns when the two paths differ in length.
+the script warns when the two paths differ in length.  It also warns when
+PYTHONDONTWRITEBYTECODE is set: then no `.pyc` file is written, every run
+compiles `src/` again, and setup_s and peak_rss_mb grow with its size.
 
 With --out the section is stored under the key WORKLOAD_seed_S (with
 _trace_1 for traced runs) of FILE, which keeps its other keys; without it
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -109,6 +112,16 @@ def path_length_warning(parent: Path, change: Path) -> str | None:
     )
 
 
+def bytecode_warning(environ) -> str | None:
+    """A warning when PYTHONDONTWRITEBYTECODE is set in environ, else None."""
+    if not environ.get("PYTHONDONTWRITEBYTECODE"):
+        return None
+    return (
+        "warning: PYTHONDONTWRITEBYTECODE is set, so every run compiles src/ again; "
+        "setup_s and peak_rss_mb include that compiling"
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -129,9 +142,9 @@ def main() -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    warning = path_length_warning(roots["parent"], roots["change"])
-    if warning:
-        print(warning, file=sys.stderr)
+    for warning in (path_length_warning(roots["parent"], roots["change"]), bytecode_warning(os.environ)):
+        if warning:
+            print(warning, file=sys.stderr)
     pairs, digests = [], {}
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")

@@ -212,21 +212,28 @@ class PartialFunction:
 
     # -- evaluation --------------------------------------------------------
 
+    def _state(self, n: int) -> tuple[tuple[int, ...], Scalar, tuple[int, ...]]:
+        """The untracked sites of n, the product of its known values and its
+        unknown sites; the sites in ascending order of their primes."""
+        untracked: list[int] = []
+        unknown: list[int] = []
+        coeff: Scalar = 1
+        for p, e in factorize(n):
+            q = p**e
+            if q not in self._entries:
+                untracked.append(q)
+            elif self._entries[q] is None:
+                unknown.append(q)
+            else:
+                coeff *= self._entries[q]
+        return tuple(untracked), coeff, tuple(unknown)
+
     def evaluate(self, n: int) -> Poly:
         """Multiplicative evaluation as a polynomial in the unknown sites."""
-        if n == 1:
-            return Poly({(): 1})
-        coeff: Scalar = 1
-        mono: list[int] = []
-        for p, e in factorize(n):
-            site = p**e
-            value = self.ensure_site(site)
-            if value is None:
-                mono.append(site)
-            else:
-                coeff *= value
-        mono.sort()
-        return Poly({tuple(mono): coeff})
+        untracked, coeff, unknown = self._state(n)
+        for site in untracked:
+            self.ensure_site(site)
+        return Poly({tuple(sorted(untracked + unknown)): coeff})
 
     def peek(self, n: int, site: int) -> tuple[Scalar, Scalar, tuple[int, ...]]:
         """f(n) as A*x + B in x = f(site), and the sites that block it.
@@ -236,29 +243,16 @@ class PartialFunction:
         B are meaningful only when it is empty.  A known factor 0 makes
         f(n) = 0 whatever the unknowns: (0, 0, ()).
         """
-        coeff: Scalar = 1
-        linear = False
-        missing: list[int] = []
-        unknown: list[int] = []
-        for p, e in factorize(n):
-            q = p**e
-            if q not in self._entries:
-                missing.append(q)
-                continue
-            value = self._entries[q]
-            if value is not None:
-                coeff *= value
-            elif q == site:
-                linear = True
-            else:
-                unknown.append(q)
-        if missing:
-            return 0, 0, tuple(missing)
+        untracked, coeff, unknown = self._state(n)
+        if untracked:
+            return 0, 0, untracked
         if not coeff:
             return 0, 0, ()
-        if unknown:
-            return 0, 0, tuple(unknown)
-        return (coeff, 0, ()) if linear else (0, coeff, ())
+        if not unknown:
+            return 0, coeff, ()
+        if unknown == (site,):
+            return coeff, 0, ()
+        return 0, 0, tuple(q for q in unknown if q != site)
 
     def peek_multiples(self, base: int, site: int, first: int, last: int) -> dict[int, tuple[Scalar, Scalar]]:
         """``peek(m * base, site)`` as (A, B) for each m in first..last prime
@@ -267,14 +261,15 @@ class PartialFunction:
 
         f(m * base) = f(m) * f(base), and the states of f(m) for m <= last
         are kept until the revision changes, so no m * base is factorized.
-        The rule is ``peek``'s: an untracked site blocks, else a known factor
+        The check per m restates ``peek``'s order for the case where only
+        base can be ``site``: an untracked site blocks, else a known factor
         0 gives (0, 0), else an unknown site other than ``site`` blocks.
         """
         if self._states is None or self._states[0] != self.revision or len(self._states[1]) <= last:
-            self._states = (self.revision, [None] + [self._factor_state(m) for m in range(1, last + 1)])
+            self._states = (self.revision, [None] + [self._state(m) for m in range(1, last + 1)])
         states = self._states[1]
         ((p, _),) = factorize(base)
-        base_untracked, base_value, base_unknown = self._factor_state(base)
+        base_untracked, base_value, base_unknown = self._state(base)
         lefts: dict[int, tuple[Scalar, Scalar]] = {}
         for m in range(first, last + 1):
             untracked, value, unknown = states[m]
@@ -287,30 +282,10 @@ class PartialFunction:
                 lefts[m] = (left, 0) if base_unknown else (0, left)
         return lefts
 
-    def _factor_state(self, n: int) -> tuple[bool, Scalar, bool]:
-        """Whether a site of n is untracked, the product of its known values,
-        and whether a site is unknown."""
-        untracked = unknown = False
-        coeff: Scalar = 1
-        for p, e in factorize(n):
-            q = p**e
-            if q not in self._entries:
-                untracked = True
-            elif self._entries[q] is None:
-                unknown = True
-            else:
-                coeff *= self._entries[q]
-        return untracked, coeff, unknown
-
     def known_value(self, n: int) -> Optional[Scalar]:
         """f(n) when every site of n is known, else None."""
-        acc: Scalar = 1
-        for p, e in factorize(n):
-            value = self._entries.get(p**e)
-            if value is None:
-                return None
-            acc *= value
-        return acc
+        untracked, coeff, unknown = self._state(n)
+        return None if untracked or unknown else coeff
 
     def __len__(self) -> int:
         return len(self._entries)

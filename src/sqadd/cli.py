@@ -208,7 +208,7 @@ def _load_table(path: Path) -> dict[int, Fraction]:
     try:
         # an object becomes its tuple of (key, value) pairs, repeats kept
         raw = json.loads(Path(path).read_text(), object_pairs_hook=tuple)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read table {path}: {exc}") from exc
     except RecursionError:
         raise UsageError(f"cannot read table {path}: nested too deeply") from None

@@ -15,6 +15,7 @@ import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NoReturn, Optional, Union
 
 from .arith import (
@@ -22,9 +23,8 @@ from .arith import (
     factorize,
     identity_table,
     prime_power_split,
-    prime_powers_upto,
 )
-from .poly import Poly, Rational, Scalar, as_scalar, symbol_name
+from .poly import Poly, Rational, Scalar, symbol_name
 from .squares import enumerate_representations
 
 # All representations of one n when their count is at most this, else the
@@ -746,10 +746,6 @@ def run_uniqueness(
     identity-forced prefix.  AllBranchesContradict signals a defect, and
     budget exhaustion raises rather than returning a verdict.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if bound < k:
-        raise ValueError(f"bound must be >= k, got {bound}")
     budget = budget or EngineBudget()
     survivors, trace = _explore(k, bound, budget)
     if not survivors:
@@ -798,23 +794,14 @@ def verify_assignment(
     equation (n ascending, representations lexicographic) is reported with
     its provenance.
     """
-    required = prime_powers_upto(bound)
+    pf = PartialFunction.upto(bound)
+    required = pf.unassigned_sites()
     missing = [site for site in required if site not in table]
     if missing:
         raise IncompleteTableError(missing)
-
-    sites = {site: as_scalar(value) for site, value in table.items()}
-    values: dict[int, Scalar] = {}
-
-    def f(n: int) -> Scalar:
-        got = values.get(n)
-        if got is None:
-            acc: Scalar = 1
-            for p, e in factorize(n):
-                acc *= sites[p**e]
-            values[n] = acc
-            got = acc
-        return got
+    for site in required:  # keys that are not sites <= bound stay unread
+        pf.assign(site, table[site])
+    f = cache(pf.known_value)
 
     checked = 0
     for n in range(1, bound + 1):

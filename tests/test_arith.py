@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
+import reference_arith
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_poly import mul
@@ -143,6 +144,70 @@ class TestPeekMultiples:
         assert lefts[6] == (0, 0)  # not even next to an unknown site,
         assert 14 not in lefts  # but an untracked site blocks first
         assert 3 not in lefts and 7 not in lefts
+
+
+def typed(value):
+    """A reader's result with the type of every scalar in it."""
+    if isinstance(value, Poly):
+        return [(mono, coeff, type(coeff)) for mono, coeff in value.terms.items()]
+    if isinstance(value, tuple):
+        return [typed(item) for item in value]
+    return value, type(value)
+
+
+# n up to 10^4 has sites beyond PEEK_SITES too, and those stay untracked
+reader_inputs = given(
+    st.lists(site_states, min_size=len(PEEK_SITES), max_size=len(PEEK_SITES)),
+    st.integers(1, 10_000),
+    st.integers(0, 9),
+    st.sampled_from(PEEK_SITES),
+)
+
+
+class TestReadersMatchReference:
+    """evaluate, peek and known_value against their bodies before they
+    shared one read of the state (tests/reference_arith.py)."""
+
+    @staticmethod
+    def site_of(n, index, other):
+        sites = [p**e for p, e in factorize(n)]
+        return sites[index] if index < len(sites) else other
+
+    @reader_inputs
+    @settings(max_examples=400, deadline=None)
+    def test_evaluate(self, states, n, index, other):
+        pf, ref = partial_function(states), partial_function(states)
+        assert typed(pf.evaluate(n)) == typed(reference_arith.evaluate(ref, n))
+        assert list(pf._entries.items()) == list(ref._entries.items())
+        assert pf.revision == ref.revision
+
+    @reader_inputs
+    @settings(max_examples=400, deadline=None)
+    def test_peek(self, states, n, index, other):
+        pf = partial_function(states)
+        entries, revision = list(pf._entries.items()), pf.revision
+        site = self.site_of(n, index, other)
+        assert typed(pf.peek(n, site)) == typed(reference_arith.peek(pf, n, site))
+        assert (list(pf._entries.items()), pf.revision) == (entries, revision)
+
+    @reader_inputs
+    @settings(max_examples=400, deadline=None)
+    def test_known_value(self, states, n, index, other):
+        pf = partial_function(states)
+        assert typed(pf.known_value(n)) == typed(reference_arith.known_value(pf, n))
+
+    def test_a_known_zero_next_to_unknown_and_untracked_sites(self):
+        # f(2) = 0, f(3) unknown, f(5) untracked: every reader, on 2*3, 2*3*5
+        pf = PartialFunction()
+        pf.assign(2, 0)
+        pf.ensure_site(3)
+        for n in (6, 30, 2, 3, 1):
+            for site in (2, 3, 5, 9):
+                assert typed(pf.peek(n, site)) == typed(reference_arith.peek(pf, n, site))
+            assert typed(pf.known_value(n)) == typed(reference_arith.known_value(pf, n))
+        ref = pf.copy()
+        assert typed(pf.evaluate(30)) == typed(reference_arith.evaluate(ref, 30))
+        assert (list(pf._entries.items()), pf.revision) == (list(ref._entries.items()), ref.revision)
 
 
 class TestPrimePowers:

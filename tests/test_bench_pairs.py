@@ -92,3 +92,30 @@ def test_main_warns_on_paths_of_unequal_length(pairs_module, tmp_path, monkeypat
     captured = capsys.readouterr()
     assert "warning: the checkout paths differ in length" in captured.err
     assert json.loads(captured.out)["summary"]["wall_s"]["claim_rule_met"] is False
+
+
+def test_bytecode_warning(pairs_module):
+    assert pairs_module.bytecode_warning({}) is None
+    assert pairs_module.bytecode_warning({"PYTHONDONTWRITEBYTECODE": ""}) is None
+    warning = pairs_module.bytecode_warning({"PYTHONDONTWRITEBYTECODE": "1"})
+    assert warning.startswith("warning: PYTHONDONTWRITEBYTECODE is set")
+
+
+def test_main_warns_when_bytecode_is_not_written(pairs_module, tmp_path, monkeypatch, capsys):
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    for root in roots:
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text("")
+    (roots[1] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [], "per_layer": []}))
+    fake = {"record": {"wall_s": 1.0, "attempted": 1, "failed": 0, "correct": True}, "digests": []}
+    monkeypatch.setattr(pairs_module, "run_bench", lambda root, args: fake)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", *map(str, roots), "--workload", "deduce", "--pairs", "1"])
+    for value, warned in (("1", True), (None, False)):
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        assert pairs_module.main() == 0
+        err = capsys.readouterr().err
+        assert ("warning: PYTHONDONTWRITEBYTECODE is set" in err) is warned
+        assert "paths differ in length" not in err

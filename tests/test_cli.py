@@ -358,6 +358,13 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert err == f"usage error: cannot read table {path}: nested too deeply\n"
 
+    def test_table_that_is_not_utf8_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = invoke(["verify", "3", "3", "--table", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"usage error: cannot read table {path}: 'utf-8' codec can't decode")
+
     def test_nested_value_error_names_its_type(self, capsys, tmp_path):
         # parses, and its repr alone is 800 bytes: the message names the type
         path = tmp_path / "nested.json"

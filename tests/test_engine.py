@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_arith import verify_reference
 from reference_poly import mul, neg, sub
 from reference_witness import search_nonidentity_reference
 
@@ -545,6 +546,65 @@ class TestVerifyAssignment:
         ]
         assert all(report == reports[0] for report in reports)
         assert reports[0].ok is (f9 == 9)
+
+
+def assert_same_report(table, k, bound):
+    """verify_assignment and its reference agree: report, residue terms."""
+    report, ref = verify_assignment(table, k, bound), verify_reference(table, k, bound)
+    assert (report.ok, report.checked, report.first_violation) == (ref.ok, ref.checked, ref.first_violation)
+    if not report.ok:
+        got, want = report.first_violation.poly.terms, ref.first_violation.poly.terms
+        assert [(m, c, type(c)) for m, c in got.items()] == [(m, c, type(c)) for m, c in want.items()]
+    return report
+
+
+class TestVerifyMatchesReference:
+    """verify_assignment against its body before it read its table through
+    a PartialFunction (tests/reference_arith.py)."""
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 80),
+        st.dictionaries(
+            st.integers(2, 80),
+            st.one_of(
+                st.integers(-3, 90),
+                st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            ),
+            max_size=6,
+        ),
+        st.dictionaries(st.integers(1, 10**6), st.integers(-5, 5), max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_tables(self, k, bound, changes, extra):
+        # the identity on the sites <= bound, some sites changed, and extra
+        # keys: sites above bound and numbers that are not prime powers
+        table = {**extra, **identity_table(bound)}
+        for site, value in changes.items():
+            if site in table and site <= bound:
+                table[site] = value
+        assert_same_report(table, k, bound)
+
+    def test_a_violating_table(self):
+        table = identity_table(60)
+        table[49] = Fraction(7, 2)
+        report = assert_same_report(table, 4, 60)
+        assert not report.ok and report.first_violation.provenance.n == 49
+
+    def test_extra_keys_that_are_not_sites(self):
+        table = {**identity_table(60), 1: 5, 6: Fraction(1, 3), 12: -1, 1000: 0, 61: 2}
+        report = assert_same_report(table, 3, 60)
+        assert report.ok and report.checked == verify_reference(identity_table(60), 3, 60).checked
+
+    def test_incomplete_table_names_the_same_sites(self):
+        table = identity_table(50)
+        del table[2], table[25]
+        raised = []
+        for check in (verify_assignment, verify_reference):
+            with pytest.raises(IncompleteTableError) as err:
+                check(table, 3, 50)
+            raised.append(err.value.missing)
+        assert raised == [[2, 25], [2, 25]]
 
 
 class TestSearchNonidentity:
