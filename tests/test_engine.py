@@ -596,16 +596,6 @@ class TestVerifyMatchesReference:
         report = assert_same_report(table, 3, 60)
         assert report.ok and report.checked == verify_reference(identity_table(60), 3, 60).checked
 
-    def test_incomplete_table_names_the_same_sites(self):
-        table = identity_table(50)
-        del table[2], table[25]
-        raised = []
-        for check in (verify_assignment, verify_reference):
-            with pytest.raises(IncompleteTableError) as err:
-                check(table, 3, 50)
-            raised.append(err.value.missing)
-        assert raised == [[2, 25], [2, 25]]
-
 
 class TestSearchNonidentity:
     def test_k3_finds_nothing(self):
