@@ -106,14 +106,6 @@ def is_prime_power(n: int) -> bool:
     return False
 
 
-def prime_power_split(n: int) -> tuple[int, int]:
-    """(p, e) for a prime power n."""
-    pairs = factorize(n)
-    if len(pairs) != 1:
-        raise ValueError(f"{n} is not a prime power")
-    return pairs[0]
-
-
 def primes_upto(n: int) -> list[int]:
     if n < 2:
         return []

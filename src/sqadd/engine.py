@@ -18,12 +18,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, NoReturn, Optional, Union
 
-from .arith import (
-    PartialFunction,
-    factorize,
-    identity_table,
-    prime_power_split,
-)
+from .arith import PartialFunction, factorize, identity_table
 from .poly import Poly, Rational, Scalar, symbol_name
 from .squares import enumerate_representations
 
@@ -202,15 +197,11 @@ class BranchState:
     def record(self, rule: str, inputs: dict, output: dict) -> None:
         self.log.append(TraceStep(len(self.log), self.path, rule, inputs, output))
 
-    def contradict(self, eq: Equation) -> NoReturn:
-        """Mark the branch inconsistent, eq folded to a nonzero constant,
-        and end its propagation by raising _Contradiction."""
+    def contradict(self, provenance: Provenance, residue: Scalar) -> NoReturn:
+        """Mark the branch inconsistent, its equation from ``provenance``
+        folded to ``residue`` != 0, and end its propagation: raise _Contradiction."""
         self.status = CONTRADICTION
-        self.record(
-            "contradiction",
-            provenance_fields(eq.provenance),
-            {"residue": str(eq.poly.constant_value())},
-        )
+        self.record("contradiction", provenance_fields(provenance), {"residue": str(residue)})
         raise _Contradiction
 
     def fork(self, root_index: int, site: int, value: Fraction) -> "BranchState":
@@ -235,6 +226,14 @@ class BranchState:
 # Equation generation
 
 
+def _check_arguments(k: int, bound: int) -> None:
+    """Refuse k < 2 and a bound below k, before any state is built."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if bound < k:
+        raise ValueError(f"bound must be >= k, got {bound}")
+
+
 def generate_equations(k: int, bound: int, pf: PartialFunction) -> list[Equation]:
     """The k-additivity system for all n <= bound.
 
@@ -244,10 +243,7 @@ def generate_equations(k: int, bound: int, pf: PartialFunction) -> list[Equation
     their part sums are equal; that cross content is not materialized here,
     it falls out of elimination when the shared left side cancels.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if bound < k:
-        raise ValueError(f"bound must be >= k, got {bound}")
+    _check_arguments(k, bound)
     equations: list[Equation] = []
     squares: dict[int, Poly] = {}  # f(a^2) by part a; parts recur across n
     for n in range(1, bound + 1):
@@ -326,7 +322,7 @@ def propagate(state: BranchState, counter: Optional[_Counter] = None) -> BranchS
                     pending[i] = None
                     continue
                 if folded.is_constant():
-                    state.contradict(eq)
+                    state.contradict(eq.provenance, folded.terms[()])
                 solved = folded.linear_solve()
                 if solved is not None:
                     pending[i] = None
@@ -362,17 +358,25 @@ def _derive_pass(
     folding to a nonzero constant raises through ``state.contradict``.
 
     A scan that finds nothing finds nothing again until the assignment state
-    changes, so its ticks and blockers are replayed from ``failed``, which
-    holds each site's last failed scan with its ``pf.revision``.  The caller
-    keeps ``failed`` for the whole ``propagate`` call.
+    changes, so it starts by replaying its ticks and blockers from
+    ``failed``, which holds each site's last failed scan with its
+    ``pf.revision``.  The caller keeps ``failed`` for the whole
+    ``propagate`` call.
     """
     pf = state.pf
 
-    def scan(site: int, blocked: Counter[int]) -> Optional[tuple[Fraction, dict]]:
+    def scan(site: int, blockers: Counter[int]) -> Optional[tuple[Fraction, dict]]:
+        last = failed.get(site)
+        if last is not None and last[0] == pf.revision:
+            _, ticks, blocked = last
+            counter.tick("derivation", ticks)
+            blockers.update(blocked)
+            return None
+        revision, start, blocked = pf.revision, counter.steps, Counter()
         # Every instance is linear in x = f(site).  pf is fixed during one
         # scan: f(a^2) = A*x + B and the sites it is blocked on, by part a;
         # the left side f(m * p^e2) = A*x + B by m, from peek_multiples
-        p, e = prime_power_split(site)
+        ((p, e),) = factorize(site)
         parts_seen: dict[int, tuple[Scalar, Scalar, tuple[int, ...]]] = {}
         for e2 in range(e, max(e - 2, 1) - 1, -1):
             base = p**e2
@@ -402,21 +406,8 @@ def _derive_pass(
                             return Fraction(-const) / coeff, inputs
                         if const:
                             # a valid instance folded to a nonzero constant
-                            state.contradict(Equation(Poly({(): const}), prov))
-        return None
-
-    def scan_once(site: int, blockers: Counter[int]) -> Optional[tuple[Fraction, dict]]:
-        """scan(), or the replay of its failure on this same state."""
-        last = failed.get(site)
-        if last is not None and last[0] == pf.revision:
-            _, ticks, blocked = last
-            counter.tick("derivation", ticks)
-        else:
-            revision, start, blocked = pf.revision, counter.steps, Counter()
-            found = scan(site, blocked)
-            if found is not None:
-                return found
-            failed[site] = (revision, counter.steps - start, blocked)
+                            state.contradict(prov, const)
+        failed[site] = (revision, counter.steps - start, blocked)
         blockers.update(blocked)
         return None
 
@@ -427,7 +418,7 @@ def _derive_pass(
         # Sites beyond the generation bound are untracked until targeted here.
         pf.ensure_site(site)
         blockers: Counter[int] = Counter()
-        found = scan_once(site, blockers)
+        found = scan(site, blockers)
         if found is None and depth > 0:
             ranked = sorted(blockers.items(), key=lambda kv: (-kv[1], kv[0]))
             for blocked_site, _ in ranked[:3]:
@@ -435,7 +426,7 @@ def _derive_pass(
                     continue
                 visited.add(blocked_site)
                 if attempt(blocked_site, depth - 1, visited):
-                    found = scan_once(site, blockers)
+                    found = scan(site, blockers)
                     if found is not None:
                         break
         if found is None:
@@ -537,6 +528,7 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
     spares: dict[int, list[int]] = {}  # first copy -> its later copies
     firsts: dict[int, int] = {}  # hash of the terms -> the first row with it
     for idx, poly in enumerate(work):
+        # a hash: frozenset keys would keep every row's items alive at once
         first = firsts.setdefault(hash(frozenset(poly.terms.items())), idx)
         if first != idx and work[first].terms == poly.terms:
             spares.setdefault(first, []).append(idx)
@@ -682,6 +674,7 @@ def _explore(
     forked and explored in full before the next, so the one shared log
     lists branches in pre-order.
     """
+    _check_arguments(k, bound)
     pf = PartialFunction.upto(bound)
     root = BranchState(pf=pf, pending=generate_equations(k, bound, pf), k=k, bound=bound)
     counter = _Counter(budget.max_steps)

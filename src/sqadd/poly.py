@@ -17,6 +17,7 @@ degree-lexicographically by site.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -83,11 +84,6 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
-    def constant_value(self) -> Scalar:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.terms.get((), Fraction(0))
-
     # -- structure ---------------------------------------------------
 
     def symbols(self) -> set[int]:
@@ -99,14 +95,9 @@ class Poly:
     def total_degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]))
-
     # -- comparison --------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
         if not isinstance(other, Poly):
             return NotImplemented
         return self.terms == other.terms
@@ -239,18 +230,12 @@ class Poly:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for mono, coeff in reversed(self.sorted_terms()):
+        for mono, coeff in reversed(sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]))):
             if mono:
-                factors: list[str] = []
-                i = 0
-                while i < len(mono):
-                    j = i
-                    while j < len(mono) and mono[j] == mono[i]:
-                        j += 1
-                    power = j - i
-                    factors.append(symbol_name(mono[i]) + (f"^{power}" if power > 1 else ""))
-                    i = j
-                body = "*".join(factors)
+                body = "*".join(
+                    symbol_name(s) + (f"^{power}" if power > 1 else "")
+                    for s, power in Counter(mono).items()
+                )
                 if coeff == 1:
                     text = body
                 elif coeff == -1:

@@ -8,11 +8,15 @@ check `Poly` against.  An int or Fraction operand stands for a constant.
 `substitute_poly_reference` is `Poly.substitute_poly` as it was before it
 kept the powers of c and -r on the source and gained its linear fast path:
 the body is unedited, with `self` named `row`.
+
+`str_reference` is `Poly.__str__` as it was before it read a monomial's
+powers from a `Counter`: the body is unedited, with `self` named `poly` and
+the call of the removed `Poly.sorted_terms` replaced by that method's body.
 """
 
 from math import gcd
 
-from sqadd.poly import Monomial, Poly, _merge, _times
+from sqadd.poly import Monomial, Poly, _merge, _monomial_key, _times, symbol_name
 
 
 def as_poly(value) -> Poly:
@@ -64,3 +68,36 @@ def substitute_poly_reference(row: Poly, symbol: int, source: Poly) -> Poly:
     if not content:
         return Poly()
     return Poly({m: v // content for m, v in terms.items()})
+
+
+def str_reference(poly: Poly) -> str:
+    if not poly.terms:
+        return "0"
+    parts: list[str] = []
+    for mono, coeff in reversed(sorted(poly.terms.items(), key=lambda kv: _monomial_key(kv[0]))):
+        if mono:
+            factors: list[str] = []
+            i = 0
+            while i < len(mono):
+                j = i
+                while j < len(mono) and mono[j] == mono[i]:
+                    j += 1
+                power = j - i
+                factors.append(symbol_name(mono[i]) + (f"^{power}" if power > 1 else ""))
+                i = j
+            body = "*".join(factors)
+            if coeff == 1:
+                text = body
+            elif coeff == -1:
+                text = f"-{body}"
+            else:
+                text = f"{coeff}*{body}"
+        else:
+            text = str(coeff)
+        if parts and not text.startswith("-"):
+            parts.append("+ " + text)
+        elif parts:
+            parts.append("- " + text[1:])
+        else:
+            parts.append(text)
+    return " ".join(parts)

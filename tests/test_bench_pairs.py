@@ -110,6 +110,12 @@ def test_main_warns_when_bytecode_is_not_written(pairs_module, tmp_path, monkeyp
     fake = {"record": {"wall_s": 1.0, "attempted": 1, "failed": 0, "correct": True}, "digests": []}
     monkeypatch.setattr(pairs_module, "run_bench", lambda root, args: fake)
     monkeypatch.setattr(sys, "argv", ["bench_pairs.py", *map(str, roots), "--workload", "deduce", "--pairs", "1"])
-    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    assert pairs_module.main() == 0
-    assert "warning: PYTHONDONTWRITEBYTECODE is set" in capsys.readouterr().err
+    for value, warned in (("1", True), (None, False)):
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        assert pairs_module.main() == 0
+        err = capsys.readouterr().err
+        assert ("warning: PYTHONDONTWRITEBYTECODE is set" in err) is warned
+        assert "paths differ in length" not in err

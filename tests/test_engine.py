@@ -145,6 +145,29 @@ class TestPropagate:
         assert last.output == {"residue": "-2"}
         assert [step.rule for step in state.log].count("contradiction") == 1
 
+    def test_propagation_contradiction_with_a_fraction_residue(self):
+        # x2 - 2 from 2 = 1 + 1 folds to 5/2 - 2 = 1/2
+        state = fresh_state(2, 2)
+        state.pf.assign(2, Fraction(5, 2))
+        propagate(state)
+        assert state.status == CONTRADICTION
+        last = state.log[-1]
+        assert last.inputs == {"kind": "additivity", "n": 2, "parts": [1, 1]}
+        assert last.output == {"residue": str(Fraction(1, 2))}
+
+    def test_derivation_contradiction_with_a_fraction_residue(self):
+        # as above with f(4) = 1/2: f(3) f(4) - 3 f(4) = 1 - 3/2 at n = 12
+        state = BranchState(pf=PartialFunction.upto(10), pending=[], k=3, bound=10)
+        for site, value in {2: 2, 3: 2, 4: Fraction(1, 2), 9: 2, 5: 5, 7: 7}.items():
+            state.pf.assign(site, value)
+        propagate(state)
+        assert state.status == CONTRADICTION
+        last = state.log[-1]
+        assert last.inputs == {
+            "kind": "multiplicativity", "n": 12, "known_factor": 3, "target_factor": 4,
+        }
+        assert last.output == {"residue": str(Fraction(-1, 2))}
+
     def test_failed_scans_replay_across_passes(self, monkeypatch):
         # a pass that starts where the branch's last failed pass started and
         # ended replays every scan from the memo and peeks at nothing
@@ -270,6 +293,22 @@ class TestRationalRoots:
 
 
 class TestRunUniqueness:
+    @pytest.mark.parametrize(
+        "entry",
+        [run_uniqueness, lambda k, n: search_nonidentity(k, n, 20)],
+        ids=["run_uniqueness", "search_nonidentity"],
+    )
+    @pytest.mark.parametrize(
+        "k, bound, message", [(1, 10**7, "k must be >= 2"), (5, 3, "bound must be >= k")]
+    )
+    def test_arguments_are_checked_before_any_state(self, monkeypatch, entry, k, bound, message):
+        def no_state(bound):
+            raise AssertionError("state built before the arguments were checked")
+
+        monkeypatch.setattr(PartialFunction, "upto", no_state)
+        with pytest.raises(ValueError, match=message):
+            entry(k, bound)
+
     def test_k3_forced_with_published_values(self):
         verdict = run_uniqueness(3, 60)
         assert verdict.kind == "forced"
@@ -595,6 +634,16 @@ class TestVerifyMatchesReference:
         table = {**identity_table(60), 1: 5, 6: Fraction(1, 3), 12: -1, 1000: 0, 61: 2}
         report = assert_same_report(table, 3, 60)
         assert report.ok and report.checked == verify_reference(identity_table(60), 3, 60).checked
+
+    def test_incomplete_table_names_the_same_sites(self):
+        table = identity_table(50)
+        del table[2], table[25]
+        raised = []
+        for check in (verify_assignment, verify_reference):
+            with pytest.raises(IncompleteTableError) as err:
+                check(table, 3, 50)
+            raised.append(err.value.missing)
+        assert raised == [[2, 25], [2, 25]]
 
 
 class TestSearchNonidentity:

@@ -7,9 +7,9 @@ them, so `Poly` does not carry them.
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_poly import add, mul, sub, substitute_poly_reference
+from reference_poly import add, mul, str_reference, sub, substitute_poly_reference
 
 from sqadd.engine import rational_roots
 from sqadd.poly import Poly
@@ -219,6 +219,27 @@ class TestSubstitutionMatchesReference:
     def test_primitive_of_an_int_row_matches_its_fraction_copy(self, terms):
         as_fractions = Poly({m: Fraction(v) for m, v in terms.items()})
         same_terms(Poly(terms).primitive(), as_fractions.primitive())
+
+
+# powers up to 4 of a site, the constant monomial (), and coefficients that
+# are ints or Fractions, with +-1 of both types drawn often
+display_monomials = st.lists(st.sampled_from([2, 3, 4, 9]), max_size=4).map(lambda s: tuple(sorted(s)))
+display_coefficients = st.one_of(
+    st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+    st.integers(-12, 12),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+class TestDisplayMatchesReference:
+    @settings(max_examples=200)
+    @given(st.dictionaries(display_monomials, display_coefficients, max_size=6))
+    @example({})
+    @example({(): Fraction(-3, 2)})
+    @example({(2, 2, 2, 2): -1, (2, 3, 3): Fraction(1, 2), (4,): Fraction(1), (): -7})
+    def test_matches_the_reference(self, terms):
+        poly = Poly(terms)
+        assert str(poly) == str_reference(poly)
 
 
 class TestMinusSum:
