@@ -2,7 +2,7 @@
 """Compare two checkouts on the benchmark, in alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
-                                   --seed S --pairs N [--seconds T]
+                                   --seed S [--pairs N] [--seconds T]
                                    [--trace {0,1}] [--out FILE]
 
 Each pair runs `bench/run.py` once from each checkout, one after the
@@ -14,9 +14,9 @@ per metric the median and quartiles of each side (statistics.quantiles,
 n=4, inclusive), the number of pairs the change won and the change of the
 median in percent.  Which way is better comes from BENCHMARK.json.
 ``claim_rule_met`` says whether a claimed gain on the metric would stand:
-the change wins at least 9 in 10 of the pairs (a tie counts for neither
-side), and its median is better than the parent's by more than the
-parent's q3 - q1.
+there are at least ten pairs, the change wins at least 9 in 10 of them (a
+tie counts for neither side), and its median is better than the parent's
+by more than the parent's q3 - q1.
 
 The process's peak RSS moves with the length of the checkout's path, so
 the script warns when the two paths differ in length.  It also warns when
@@ -95,7 +95,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                 round(100 * (c["median"] - p["median"]) / p["median"], 1) if p["median"] else None
             ),
             "claim_rule_met": (
-                10 * wins >= 9 * len(pairs)
+                len(pairs) >= 10
+                and 10 * wins >= 9 * len(pairs)
                 and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]
             ),
         }
@@ -128,7 +129,7 @@ def main() -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True, help="a workload of bench/run.py")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=50)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, help="BENCH_*.json file to store the section in")

@@ -23,8 +23,9 @@ class SiteConflictError(ValueError):
     """A site was assigned two different values: engine bug or bad branch."""
 
 
-# Trial division with a 2,3,5 wheel; arguments stay small (<= ~10^7).
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+# Trial division by 2, 3, 5, 7, then by the 2,3,5 wheel, whose steps repeat
+# from index 3; arguments stay small (<= ~10^7).
+_STEPS = (1, 2, 2, 4, 2, 4, 2, 4, 6, 2, 6)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -37,14 +38,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         return tuple((p, 2 * e) for p, e in factorize(root))
     pairs: list[tuple[int, int]] = []
     m = n
-    for p in (2, 3, 5):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            pairs.append((p, e))
-    p = 7
+    p = 2
     i = 0
     while p * p <= m:
         if m % p == 0:
@@ -53,8 +47,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 e += 1
             pairs.append((p, e))
-        p += _WHEEL[i]
-        i = (i + 1) & 7
+        p += _STEPS[i]
+        i = i + 1 if i < 10 else 3
     if m > 1:
         pairs.append((m, 1))
     return tuple(pairs)

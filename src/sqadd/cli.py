@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -149,14 +150,11 @@ def _write(path: Path, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _trace_destination(args: argparse.Namespace) -> Path:
-    if args.out is not None:
-        return Path(str(args.out) + ".trace")
-    return Path(f"deduce-{args.k}-{args.N}.trace")
-
-
 def _cmd_deduce(args: argparse.Namespace) -> int:
-    trace_path = _trace_destination(args)
+    if args.out is not None:
+        trace_path = Path(str(args.out) + ".trace")
+    else:
+        trace_path = Path(f"deduce-{args.k}-{args.N}.trace")
     for path in (args.out, trace_path):
         if path is not None and path.is_dir():
             raise UsageError(f"{path} is a directory")
@@ -176,13 +174,7 @@ def _cmd_deduce(args: argparse.Namespace) -> int:
         csv_lines = [f"{site},{value}" for site, value in table]
         text_lines = ["verdict: forced"] + [f"f({site}) = {value}" for site, value in table]
     elif isinstance(out, Underdetermined):
-        payload.update(
-            free_sites=list(out.free_sites),
-            witness_count=out.witness_count,
-            forced_prefix=out.forced_prefix,
-            first_free=out.first_free,
-            note=out.note,
-        )
+        payload.update(asdict(out))
         text_lines = [
             "verdict: underdetermined",
             f"forced prefix: {out.forced_prefix}",

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NoReturn, Optional, Union
+from typing import Callable, ClassVar, NoReturn, Optional, Union
 
 from .arith import PartialFunction, factorize, identity_table
 from .poly import Poly, Rational, Scalar, symbol_name
@@ -35,7 +35,6 @@ DERIVE_DEPTH = 3
 
 ACTIVE = "active"
 CONTRADICTION = "contradiction"
-SATURATED = "saturated"
 
 
 # --------------------------------------------------------------------------
@@ -65,12 +64,7 @@ Provenance = Union[Additivity, Multiplicativity]
 def provenance_fields(prov: Provenance) -> dict:
     if isinstance(prov, Additivity):
         return {"kind": "additivity", "n": prov.n, "parts": list(prov.parts)}
-    return {
-        "kind": "multiplicativity",
-        "n": prov.n,
-        "known_factor": prov.known_factor,
-        "target_factor": prov.target_factor,
-    }
+    return {"kind": "multiplicativity", **asdict(prov)}
 
 
 @dataclass(frozen=True)
@@ -205,13 +199,13 @@ class BranchState:
         raise _Contradiction
 
     def fork(self, root_index: int, site: int, value: Fraction) -> "BranchState":
-        child = BranchState(
+        child = replace(
+            self,
             pf=self.pf.copy(),
             pending=list(self.pending),
-            k=self.k,
-            bound=self.bound,
             path=self.path + (root_index,),
-            log=self.log,
+            status=ACTIVE,
+            note="",
         )
         child.pf.assign(site, value)
         child.record(
@@ -512,7 +506,7 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
 
     def enter(idx: int, poly: Poly) -> None:
         """Make poly row idx, moving idx to the lists of its new symbols."""
-        syms = set().union(*poly.terms)
+        syms = poly.symbols()
         for sym in syms_of[idx] - syms:
             occurs[sym].discard(idx)
         for sym in syms - syms_of[idx]:
@@ -630,6 +624,7 @@ class Forced:
     """Exactly one branch survives and it is the identity up to the bound."""
 
     table: dict[int, Fraction]
+    kind: ClassVar[str] = "forced"
 
 
 @dataclass(frozen=True)
@@ -639,11 +634,14 @@ class Underdetermined:
     forced_prefix: int
     first_free: Optional[int]
     note: str = ""
+    kind: ClassVar[str] = "underdetermined"
 
 
 @dataclass(frozen=True)
 class AllBranchesContradict:
     """Impossible for a faithful system (identity is a model): defect signal."""
+
+    kind: ClassVar[str] = "all_branches_contradict"
 
 
 Outcome = Union[Forced, Underdetermined, AllBranchesContradict]
@@ -656,11 +654,7 @@ class Verdict:
 
     @property
     def kind(self) -> str:
-        if isinstance(self.outcome, Forced):
-            return "forced"
-        if isinstance(self.outcome, Underdetermined):
-            return "underdetermined"
-        return "all_branches_contradict"
+        return self.outcome.kind
 
 
 def _explore(
@@ -687,14 +681,12 @@ def _explore(
             return
         found = eliminate(branch, counter=counter)
         if found is None:
-            branch.status = SATURATED
             branch.record("saturated", {}, {"free": branch.pf.unassigned_sites(bound)})
             survivors.append(branch)
             return
         site, eliminant = found
         roots = rational_roots(eliminant)
         if not roots:
-            branch.status = SATURATED
             branch.note = "eliminant without rational roots; non-rational branches not explored"
             branch.record(
                 "saturated",
@@ -748,14 +740,13 @@ def run_uniqueness(
         table = survivors[0].pf.assigned_table(limit=bound)
         return Verdict(Forced(table), trace)
     lead = survivors[0]
-    note = lead.note
     return Verdict(
         Underdetermined(
             free_sites=tuple(lead.pf.unassigned_sites(limit=bound)),
             witness_count=min(len(survivors), 16),
             forced_prefix=prefix,
             first_free=first_free,
-            note=note,
+            note=lead.note,
         ),
         trace,
     )

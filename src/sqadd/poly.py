@@ -87,10 +87,7 @@ class Poly:
     # -- structure ---------------------------------------------------
 
     def symbols(self) -> set[int]:
-        out: set[int] = set()
-        for mono in self.terms:
-            out.update(mono)
-        return out
+        return set().union(*self.terms)
 
     def total_degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)

@@ -1,5 +1,6 @@
 """Factorization and partial multiplicative function state."""
 
+import random
 from fractions import Fraction
 from math import gcd, prod
 
@@ -31,6 +32,23 @@ def spf_sieve(limit: int) -> list[int]:
     return spf
 
 
+def trial_division(n: int, primes: list[int]) -> tuple[tuple[int, int], ...]:
+    """(p, e) pairs of n by dividing by each prime in turn while p * p <= the rest."""
+    pairs, m = [], n
+    for p in primes:
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            pairs.append((p, e))
+    if m > 1:
+        pairs.append((m, 1))
+    return tuple(pairs)
+
+
 class TestFactorize:
     def test_examples(self):
         assert factorize(12) == ((2, 2), (3, 1))
@@ -52,6 +70,19 @@ class TestFactorize:
                     e += 1
                 pairs.append((p, e))
             assert fact == tuple(pairs), n
+
+    def test_products_of_large_primes_match_trial_division(self):
+        spf = spf_sieve(101_000)
+        primes = [p for p in range(2, len(spf)) if spf[p] == p]
+        upto_5e4 = [p for p in primes if p <= 50_000]
+        # the first wheel steps and their wrap, each against large cofactors
+        factors = [(p, q) for p in upto_5e4[:20] for q in upto_5e4[-5:]]
+        rng = random.Random(0)
+        factors += [tuple(rng.sample(upto_5e4, 2)) for _ in range(500)]
+        cases = [p * q for p, q in factors]
+        cases += [p * p for p in primes if 99_000 <= p <= 101_000]
+        for n in cases:
+            assert factorize(n) == trial_division(n, primes), n
 
     def test_primes_ascending_and_prime(self):
         def naive_prime(p):

@@ -66,6 +66,9 @@ PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
         # a metric where higher is better
         ([1.30] * 10, "higher", True),
         ([0.70] * 10, "higher", False),
+        # every pair won by a wide margin, but fewer than ten pairs
+        ([0.70] * 5, "lower", False),
+        ([0.70] * 9, "lower", False),
     ],
 )
 def test_claim_rule(pairs_module, change, better, met):

@@ -1,6 +1,7 @@
 """Equation generation, propagation, elimination, branching, verdicts."""
 
 import hashlib
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import pytest
@@ -19,15 +20,20 @@ from sqadd.engine import (
     AllBranchesContradict,
     BranchState,
     BudgetExhausted,
+    DeductionTrace,
     EngineBudget,
     Equation,
+    Forced,
     IncompleteTableError,
+    Multiplicativity,
     Underdetermined,
+    Verdict,
     _Counter,
     eliminate,
     generate_equations,
     parse_rational,
     propagate,
+    provenance_fields,
     rational_roots,
     run_uniqueness,
     search_nonidentity,
@@ -207,6 +213,29 @@ class TestPropagate:
         assert verdict.outcome.table[32] == 32
         derive_steps = [s for s in verdict.trace.steps if s.rule == "derive"]
         assert any(s.output["site"] == 32 for s in derive_steps)
+
+
+class TestFork:
+    def test_child_is_active_owns_its_state_and_shares_the_log(self):
+        parent = fresh_state(3, 12)
+        parent.path = (1,)
+        parent.status = CONTRADICTION
+        parent.note = "eliminant without rational roots"
+        pending = list(parent.pending)
+        child = parent.fork(0, 2, Fraction(2))
+        assert child.status == ACTIVE and child.note == ""
+        assert child.path == (1, 0)
+        assert (child.k, child.bound) == (3, 12)
+        # the fork's own step lands in the one log, numbered in it
+        assert child.log is parent.log
+        assert [(s.index, s.branch, s.rule) for s in parent.log] == [(0, (1, 0), "branch")]
+        # pf and pending are copies: the child's changes stay its own
+        assert child.pf.known(2) == 2 and parent.pf.known(2) is None
+        child.pf.assign(3, 3)
+        child.pending[0] = None
+        assert parent.pf.known(3) is None
+        assert parent.pending == pending
+        assert parent.status == CONTRADICTION and parent.note
 
 
 class TestEliminate:
@@ -548,6 +577,35 @@ class TestRunUniqueness:
         verdict = run_uniqueness(7, 100)
         assert verdict.kind == "underdetermined"
         assert verdict.outcome.witness_count == 2
+
+
+class TestOutcomeRecords:
+    def test_verdict_kind_comes_from_the_outcome(self):
+        trace = DeductionTrace()
+        assert Verdict(Forced({}), trace).kind == "forced"
+        assert Verdict(Underdetermined((2,), 1, 1, 2), trace).kind == "underdetermined"
+        assert Verdict(AllBranchesContradict(), trace).kind == "all_branches_contradict"
+
+    def test_kind_is_not_a_field(self):
+        out = Underdetermined((2,), 1, 1, 2)
+        assert asdict(out) == {
+            "free_sites": (2,),
+            "witness_count": 1,
+            "forced_prefix": 1,
+            "first_free": 2,
+            "note": "",
+        }
+        for record in (Forced, Underdetermined, AllBranchesContradict):
+            assert "kind" not in {f.name for f in fields(record)}
+
+    def test_multiplicativity_fields_in_order(self):
+        record = provenance_fields(Multiplicativity(24, 3, 8))
+        assert list(record.items()) == [
+            ("kind", "multiplicativity"),
+            ("n", 24),
+            ("known_factor", 3),
+            ("target_factor", 8),
+        ]
 
 
 class TestVerifyAssignment:
