@@ -9,10 +9,12 @@ checkout, each in a fresh interpreter that imports the checkout's `src/`;
 odd pairs start with the parent and even pairs with the change.  Only the
 call itself is timed, not the interpreter start or the import.  The JSON
 printed holds the `src/` line count of each side and, per K:N and side, the
-verdict, the sha256 of the serialized trace, every run's seconds and their
-median and quartiles (as in `bench_pairs.py`).  The bench's `deduce`
-workload goes no higher than N = 200, and only to N = 42 for k = 7; this
-script covers the larger runs such as 7:200 and 6:400.
+verdict, the sha256 of the serialized trace, the step total (the final
+count of the `--max-steps` counter), every run's seconds and their median
+and quartiles (as in `bench_pairs.py`); `same_trace` and `same_steps` say
+whether the two sides agree.  The bench's `deduce` workload goes no higher
+than N = 200, and only to N = 42 for k = 7; this script covers the larger
+runs such as 7:200 and 6:400.
 """
 
 from __future__ import annotations
@@ -27,15 +29,23 @@ from pathlib import Path
 from bench_pairs import spread, src_lines
 
 # Runs in the child: time one call, then hash the trace outside the timing.
+# The engine's counters are kept as they are made, so the final count of the
+# `--max-steps` one, the run's step total, can be read after the call.
 CHILD = """\
 import hashlib, json, sys, time
-from sqadd.engine import run_uniqueness
+from sqadd import engine
 k, n = int(sys.argv[1]), int(sys.argv[2])
+made, real = [], engine._Counter
+def counter(*args, **kwargs):
+    made.append(real(*args, **kwargs))
+    return made[-1]
+engine._Counter = counter
 start = time.perf_counter()
-verdict = run_uniqueness(k, n)
+verdict = engine.run_uniqueness(k, n)
 seconds = time.perf_counter() - start
 digest = hashlib.sha256(verdict.trace.serialize().encode()).hexdigest()
-print(json.dumps({"seconds": seconds, "sha256": digest, "verdict": verdict.kind}))
+(steps,) = [c.steps for c in made if c.flag == "--max-steps"]
+print(json.dumps({"seconds": seconds, "sha256": digest, "steps": steps, "verdict": verdict.kind}))
 """
 
 
@@ -67,13 +77,15 @@ def run_once(root: Path, k: int, n: int) -> dict:
 
 
 def side_summary(runs: list[dict]) -> dict:
-    digests = {run["sha256"] for run in runs}
-    if len(digests) != 1:
-        raise SystemExit(f"error: one checkout wrote {len(digests)} different traces")
+    for key, what in (("sha256", "traces"), ("steps", "step totals")):
+        found = {run[key] for run in runs}
+        if len(found) != 1:
+            raise SystemExit(f"error: one checkout gave {len(found)} different {what}")
     seconds = [run["seconds"] for run in runs]
     return {
         "verdict": runs[0]["verdict"],
         "trace_sha256": runs[0]["sha256"],
+        "steps": runs[0]["steps"],
         "seconds": seconds,
         **spread(seconds),
     }
@@ -101,6 +113,7 @@ def main() -> int:
                 runs[side].append(run_once(roots[side], k, n))
         sides = {side: side_summary(got) for side, got in runs.items()}
         sides["same_trace"] = sides["parent"]["trace_sha256"] == sides["change"]["trace_sha256"]
+        sides["same_steps"] = sides["parent"]["steps"] == sides["change"]["steps"]
         result[f"{k}:{n}"] = sides
         print(f"{k}:{n} done", file=sys.stderr)
     print(json.dumps(result, indent=1))

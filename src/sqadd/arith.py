@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from typing import Optional
 
 from .poly import Poly, Rational, Scalar, as_scalar
@@ -33,9 +32,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """(p, e) pairs of n with strictly ascending primes; () encodes 1."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    root = isqrt(n)
-    if root > 1 and root * root == n:  # f(a^2) is read for every part a
-        return tuple((p, 2 * e) for p, e in factorize(root))
     pairs: list[tuple[int, int]] = []
     m = n
     p = 2

@@ -295,6 +295,8 @@ def propagate(state: BranchState, counter: Optional[_Counter] = None) -> BranchS
         """Record f(site) = value for an unknown site; requeue its equations."""
         state.pf.assign(site, value)
         state.record(rule, inputs, {"site": site, "value": str(value)})
+        # Requeue order is the iteration order of a set of equation indices,
+        # so renumbering `pending` (say, dropping its None slots) changes traces.
         for i in site_index.pop(site, set()):
             if i not in in_dirty and pending[i] is not None:
                 dirty.append(i)
@@ -595,10 +597,10 @@ def rational_roots(poly: Poly) -> list[Fraction]:
     _, ints = uni
 
     roots: set[Fraction] = set()
-    while ints and ints[0] == 0:
+    while ints[0] == 0:
         roots.add(Fraction(0))
         ints.pop(0)
-    if not ints or len(ints) == 1:
+    if len(ints) == 1:
         return sorted(roots)
 
     def value_at(x: Fraction) -> Fraction:
@@ -712,8 +714,7 @@ def _identity_prefix(branches: list[BranchState], bound: int) -> tuple[int, Opti
     """Largest m with f(n) = n forced for all n <= m in every branch."""
     for n in range(1, bound + 1):
         for branch in branches:
-            value = branch.pf.known_value(n)
-            if value is None or value != n:
+            if branch.pf.known_value(n) != n:
                 return n - 1, n
     return bound, None
 

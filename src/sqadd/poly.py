@@ -142,34 +142,24 @@ class Poly:
         _, c_powers, r_powers = plan  # c^j and (-r)^j, grown as needed
         c, minus_r = c_powers[1], r_powers[1]
         counts = [mono.count(symbol) for mono in self.terms]
+        top = max(counts, default=0)
+        while len(c_powers) <= top:
+            c_powers.append(c_powers[-1] * c)
+            r_powers.append(_times(r_powers[-1], minus_r))
         terms: dict[Monomial, int] = {}
-        if sum(counts) == 1 and (symbol,) in self.terms:
-            # symbol only in a*symbol: the row becomes c*rest - a*r
-            for mono, coeff in self.terms.items():
-                if mono == (symbol,):
-                    for m, v in minus_r.items():
-                        terms[m] = terms.get(m, 0) + coeff * v
-                else:
-                    terms[mono] = terms.get(mono, 0) + coeff * c
-        else:
-            top = max(counts, default=0)
-            while len(c_powers) <= top:
-                c_powers.append(c_powers[-1] * c)
-                r_powers.append(_times(r_powers[-1], minus_r))
-            for (mono, coeff), count in zip(self.terms.items(), counts):
-                coeff *= c_powers[top - count]
-                if not count:
-                    terms[mono] = terms.get(mono, 0) + coeff
-                    continue
-                i = mono.index(symbol)  # a monomial is sorted: its copies are adjacent
-                rest = mono[:i] + mono[i + count :]
-                for m, v in r_powers[count].items():
+        for (mono, coeff), count in zip(self.terms.items(), counts):
+            coeff *= c_powers[top - count]
+            if not count:
+                terms[mono] = terms.get(mono, 0) + coeff
+                continue
+            i = mono.index(symbol)  # a monomial is sorted: its copies are adjacent
+            rest = mono[:i] + mono[i + count :]
+            for m, v in r_powers[count].items():
+                if rest:
                     m = _merge(rest, m)
-                    terms[m] = terms.get(m, 0) + coeff * v
+                terms[m] = terms.get(m, 0) + coeff * v
         content = gcd(*terms.values())
-        if not content:
-            return Poly()
-        if content == 1:
+        if content <= 1:  # 0 when every term cancelled: Poly drops the zeros
             return Poly(terms)
         return Poly({m: v // content for m, v in terms.items()})
 
@@ -191,10 +181,7 @@ class Poly:
         (s,) = syms
         if any(len(m) > 1 for m in self.terms):
             return None
-        c = self.terms.get((s,))
-        if not c:
-            return None
-        return (s, Fraction(-self.terms.get((), 0)) / c)
+        return (s, Fraction(-self.terms.get((), 0)) / self.terms[(s,)])
 
     def univariate_coeffs(self) -> Optional[tuple[int, list[Scalar]]]:
         """Dense coefficients (c0..cd) when exactly one symbol occurs."""

@@ -197,9 +197,7 @@ def expressibility_sieve(k: int, bound: int) -> int:
         return _reversed(level, bound)
     # bit bound, which stands for 0, is never in a level, so it is in the complement
     tail = [n for n in _members(~level & ((1 << (bound + 1)) - 1)) if n > 4]
-    for j in range(4, k):
-        if not tail:
-            break
+    for j in range(4, min(k, bound)):  # level j's tail lies above j: empty from j = bound
         tail = _next_tail(tail, j, bound)
     return ((1 << (bound + 1)) - (1 << min(k, bound + 1))) ^ sum(1 << c for c in tail)
 

@@ -233,6 +233,22 @@ class TestExpressible:
         clear = [n for n in range(1, 2001) if not level >> n & 1]
         assert clear == dubouis_reference_set(k, 2000)
 
+    def test_k_above_the_bound_steps_at_most_bound_levels(self, monkeypatch):
+        # level j's tail lies above j, so it is empty from level bound on and
+        # no k, however large, costs more than bound complement steps
+        calls = []
+        step = squares._next_tail
+
+        def counted(tail, j, bound):
+            calls.append(j)
+            assert len(calls) <= bound, "the complement steps past the bound"
+            return step(tail, j, bound)
+
+        monkeypatch.setattr(squares, "_next_tail", counted)
+        for k in (99, 100, 101, 10**18):
+            calls.clear()
+            assert expressibility_sieve(k, 100) == expressibility_sieve_reference(min(k, 101), 100), k
+
 
 class TestExceptionalSets:
     def test_five_squares_bound_40(self):

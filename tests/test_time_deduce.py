@@ -5,6 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from sqadd.engine import BudgetExhausted, EngineBudget, run_uniqueness
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "time_deduce.py"
 
@@ -21,11 +25,17 @@ def test_one_pair_of_one_checkout_agrees_with_itself():
     assert result["src_lines"]["parent"] == result["src_lines"]["change"] > 0
     unit = result["3:20"]
     assert unit["same_trace"] is True
+    assert unit["same_steps"] is True
     for side in ("parent", "change"):
         assert unit[side]["verdict"] == "underdetermined"
         assert len(unit[side]["trace_sha256"]) == 64
+        assert unit[side]["steps"] == 39
         assert len(unit[side]["seconds"]) == 1
         assert unit[side]["q1"] == unit[side]["median"] == unit[side]["q3"]
+    # the step total is the least --max-steps the run fits in
+    run_uniqueness(3, 20, EngineBudget(max_steps=39))
+    with pytest.raises(BudgetExhausted):
+        run_uniqueness(3, 20, EngineBudget(max_steps=38))
 
 
 def test_malformed_unit_is_refused():
