@@ -22,11 +22,6 @@ class SiteConflictError(ValueError):
     """A site was assigned two different values: engine bug or bad branch."""
 
 
-# Trial division by 2, 3, 5, 7, then by the 2,3,5 wheel, whose steps repeat
-# from index 3; arguments stay small (<= ~10^7).
-_STEPS = (1, 2, 2, 4, 2, 4, 2, 4, 6, 2, 6)
-
-
 @lru_cache(maxsize=1 << 18)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """(p, e) pairs of n with strictly ascending primes; () encodes 1."""
@@ -34,8 +29,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     pairs: list[tuple[int, int]] = []
     m = n
-    p = 2
-    i = 0
+    p = 2  # trial division by 2, then by odd p; arguments stay small (<= ~10^7)
     while p * p <= m:
         if m % p == 0:
             e = 0
@@ -43,8 +37,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 e += 1
             pairs.append((p, e))
-        p += _STEPS[i]
-        i = i + 1 if i < 10 else 3
+        p += 1 if p == 2 else 2
     if m > 1:
         pairs.append((m, 1))
     return tuple(pairs)

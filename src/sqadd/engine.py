@@ -600,8 +600,6 @@ def rational_roots(poly: Poly) -> list[Fraction]:
     while ints[0] == 0:
         roots.add(Fraction(0))
         ints.pop(0)
-    if len(ints) == 1:
-        return sorted(roots)
 
     def value_at(x: Fraction) -> Fraction:
         acc = Fraction(0)

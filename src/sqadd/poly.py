@@ -198,11 +198,9 @@ class Poly:
         """Scale to coprime integer coefficients with positive leading term."""
         if not self.terms:
             return self
-        ints = self.terms
-        if not all(type(c) is int for c in ints.values()):
-            ratios = {m: c.as_integer_ratio() for m, c in ints.items()}
-            den = lcm(*(d for _, d in ratios.values()))
-            ints = {m: n * (den // d) for m, (n, d) in ratios.items()}
+        ratios = {m: c.as_integer_ratio() for m, c in self.terms.items()}
+        den = lcm(*(d for _, d in ratios.values()))
+        ints = {m: n * (den // d) for m, (n, d) in ratios.items()}
         content = gcd(*ints.values())
         if ints[max(ints, key=_monomial_key)] < 0:
             content = -content

@@ -7,8 +7,8 @@ Two independent routes answer "is n a sum of k positive squares":
   two-square and Legendre's three-square residue classes rule out, and
 * a dynamic-programming sieve over all n <= N at once, in two phases:
   levels 1..4 are dense bitmaps built by shift-ORs, and from level 4 on,
-  where the complement of level j is 1..j - 1 and O(log N) members
-  above j, each level steps those members as a set.
+  where level j's complement is 1..j - 1 and O(log N) offsets above j,
+  each level steps those offsets until a step leaves them unchanged.
 
 The enumerator never reads the sieve, so each route checks the other.
 
@@ -148,19 +148,14 @@ def _members(reversed_set: int) -> tuple[int, ...]:
     return tuple(map(re.Match.start, _ONE.finditer(format(reversed_set, "b"), 1)))
 
 
-def _next_tail(tail: list[int], j: int, bound: int) -> list[int]:
-    """The members above j + 1 of level j + 1's complement, from those above j of level j's.
+def _next_tail(tail: list[int]) -> list[int]:
+    """Level j + 1's complement above j + 1 from level j's above j, as offsets.
 
-    n joins iff n - a^2 is in `tail` for every a >= 1 with n - a^2 >= j;
-    the remainders below j are in the complement whatever `tail` holds.
-    So a = 1 leaves c + 1 for c in `tail` as the only candidates.
+    j + 1 + t - a^2 is level j's offset t + 1 - a^2 (0 is j, a sum of j
+    squares), so t is kept iff every a with a^2 <= t + 1 leaves one in `tail`.
     """
     members = set(tail)
-    return [
-        n
-        for n in (c + 1 for c in tail)
-        if n <= bound and all(n - a * a in members for a in range(2, isqrt(n - j) + 1))
-    ]
+    return [t for t in tail if all(t + 1 - a * a in members for a in range(2, isqrt(t + 1) + 1))]
 
 
 def expressibility_sieve(k: int, bound: int) -> int:
@@ -172,12 +167,13 @@ def expressibility_sieve(k: int, bound: int) -> int:
     so no intermediate is wider than bound + 1 bits.  For k <= 4 one bit
     reversal turns that level into the returned one.
 
-    Levels 5..k step the complement as a set.  The complement of level j
-    is 1..j - 1, which no sum of j positive squares reaches, and a tail
-    above j, which `_next_tail` steps.  The step is exact at every level;
-    level 4 hands over because from there the tail has O(log bound)
-    members (the sporadic exceptions and 2 * 4^m, 6 * 4^m, 14 * 4^m),
-    where level 3's complement has about bound / 6.
+    Levels 5..k step the complement: 1..j - 1 for level j and a tail of
+    offsets t for j + t, which `_next_tail` steps.  Level 4 hands over as
+    its tail has O(log bound) members (sporadic ones and 2 * 4^m, 6 * 4^m,
+    14 * 4^m), where level 3's complement has about bound / 6.  The step
+    only removes offsets, so the first step that changes nothing ends the
+    loop whatever k is (from level 6 on the tail is 1, 2, 4, 5, 7, 10, 13).
+    Keeping t reads only offsets below t: the bound cuts once, at level k.
     """
     if k < 1 or bound < 1:
         raise ValueError("k and bound must be positive")
@@ -196,10 +192,13 @@ def expressibility_sieve(k: int, bound: int) -> int:
     if k <= 4:
         return _reversed(level, bound)
     # bit bound, which stands for 0, is never in a level, so it is in the complement
-    tail = [n for n in _members(~level & ((1 << (bound + 1)) - 1)) if n > 4]
-    for j in range(4, min(k, bound)):  # level j's tail lies above j: empty from j = bound
-        tail = _next_tail(tail, j, bound)
-    return ((1 << (bound + 1)) - (1 << min(k, bound + 1))) ^ sum(1 << c for c in tail)
+    tail = [n - 4 for n in _members(~level & ((1 << (bound + 1)) - 1)) if n > 4]
+    for _ in range(4, k):
+        tail, last = _next_tail(tail), tail
+        if tail == last:
+            break
+    clear = sum(1 << (k + t) for t in tail if k + t <= bound)
+    return ((1 << (bound + 1)) - (1 << min(k, bound + 1))) ^ clear
 
 
 def exceptional_set(
@@ -287,7 +286,7 @@ def dubouis_reference_set(k: int, bound: int) -> list[int]:
                 values.add(v)
                 v *= 4
     else:
-        values.update(range(1, k))
+        values.update(range(1, min(k, bound + 1)))
         values.update((k + 1, k + 2, k + 4, k + 5, k + 7, k + 10, k + 13))
         if k == 5:
             values.add(33)

@@ -219,13 +219,14 @@ class TestExpressible:
             assert expressibility_sieve(k, bound) == expressibility_sieve_reference(k, bound), (k, bound)
 
     def test_complement_step_reads_every_remainder(self):
-        # from the tail {10, 13} above j = 4 the candidates are 11 and 14:
-        # 11 - 2^2 = 7 is missing, and for 14 only the last square, 3^2,
-        # leaves a remainder (5) that is missing.  With 5 added both 6 and
-        # 14 join, and the bound cuts what lies above it
-        assert _next_tail([10, 13], 4, 100) == []
-        assert _next_tail([5, 10, 13], 4, 100) == [6, 14]
-        assert _next_tail([5, 10, 13], 4, 13) == [6]
+        # the tails {10, 13} and {5, 10, 13} above j = 4 as offsets.  Offset 6
+        # (n = 11) needs 3 (n - 2^2 = 7), which is missing; offset 9 (n = 14)
+        # needs 6 and 1, and only the last square, 3^2, leaves one (5) that
+        # is missing.  With 1 added, 1 has no square to test and 9 stays
+        assert _next_tail([6, 9]) == []
+        assert _next_tail([1, 6, 9]) == [1, 9]
+        # the bound cuts what lies above it
+        assert expressibility_sieve(5, 13) == expressibility_sieve_reference(5, 13)
 
     @pytest.mark.parametrize("k", [30, 100])
     def test_large_k_matches_dubouis(self, k):
@@ -234,20 +235,24 @@ class TestExpressible:
         assert clear == dubouis_reference_set(k, 2000)
 
     def test_k_above_the_bound_steps_at_most_bound_levels(self, monkeypatch):
-        # level j's tail lies above j, so it is empty from level bound on and
-        # no k, however large, costs more than bound complement steps
+        # the step only removes offsets and the loop stops at the first step
+        # that removes none, so no k, however large, costs more steps than
+        # level 4's tail has members, plus one
         calls = []
         step = squares._next_tail
 
-        def counted(tail, j, bound):
-            calls.append(j)
-            assert len(calls) <= bound, "the complement steps past the bound"
-            return step(tail, j, bound)
+        def counted(tail):
+            calls.append(len(tail))
+            assert len(calls) <= calls[0] + 1, "the complement steps an unchanged tail"
+            return step(tail)
 
         monkeypatch.setattr(squares, "_next_tail", counted)
-        for k in (99, 100, 101, 10**18):
-            calls.clear()
-            assert expressibility_sieve(k, 100) == expressibility_sieve_reference(min(k, 101), 100), k
+        for bound in (100, 80_000):
+            for k in (99, 100, 101, 10**6, 10**18):
+                calls.clear()
+                # no n < k is a sum of k positive squares
+                want = expressibility_sieve_reference(k, bound) if k <= bound else 0
+                assert expressibility_sieve(k, bound) == want, (k, bound)
 
 
 class TestExceptionalSets:
@@ -322,6 +327,18 @@ class TestDubouisReference:
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             dubouis_reference_set(3, 100)
+
+    def test_large_k_holds_only_the_bound(self):
+        # 1..k - 1 is cut to the bound before it is built: at k = 10^6 and
+        # bound 100 the list is 1..100, with no set of 10^6 ints on the way
+        tracemalloc.start()
+        try:
+            got = dubouis_reference_set(10**6, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == list(range(1, 101))
+        assert peak < 1 << 20
 
 
 class TestHurwitz:
