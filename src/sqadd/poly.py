@@ -198,9 +198,8 @@ class Poly:
         """Scale to coprime integer coefficients with positive leading term."""
         if not self.terms:
             return self
-        ratios = {m: c.as_integer_ratio() for m, c in self.terms.items()}
-        den = lcm(*(d for _, d in ratios.values()))
-        ints = {m: n * (den // d) for m, (n, d) in ratios.items()}
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        ints = {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}
         content = gcd(*ints.values())
         if ints[max(ints, key=_monomial_key)] < 0:
             content = -content

@@ -75,7 +75,7 @@ class TestFactorize:
         spf = spf_sieve(101_000)
         primes = [p for p in range(2, len(spf)) if spf[p] == p]
         upto_5e4 = [p for p in primes if p <= 50_000]
-        # the first wheel steps and their wrap, each against large cofactors
+        # the smallest primes, each against large cofactors
         factors = [(p, q) for p in upto_5e4[:20] for q in upto_5e4[-5:]]
         rng = random.Random(0)
         factors += [tuple(rng.sample(upto_5e4, 2)) for _ in range(500)]

@@ -220,9 +220,10 @@ class TestExpressible:
 
     def test_complement_step_reads_every_remainder(self):
         # the tails {10, 13} and {5, 10, 13} above j = 4 as offsets.  Offset 6
-        # (n = 11) needs 3 (n - 2^2 = 7), which is missing; offset 9 (n = 14)
-        # needs 6 and 1, and only the last square, 3^2, leaves one (5) that
-        # is missing.  With 1 added, 1 has no square to test and 9 stays
+        # (n = 11) needs 3 (11 - 2^2 = 7), which is missing.  Offset 9
+        # (n = 14) needs 6 and 1 (14 - 2^2 = 10 and 14 - 3^2 = 5), and only
+        # the last square's is missing.  With 1 added, 9 stays, and 1 stays
+        # as no a >= 2 has a^2 <= 2
         assert _next_tail([6, 9]) == []
         assert _next_tail([1, 6, 9]) == [1, 9]
         # the bound cuts what lies above it
