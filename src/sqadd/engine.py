@@ -23,8 +23,12 @@ from .poly import Poly, Rational, Scalar, symbol_name
 from .squares import enumerate_representations
 
 # All representations of one n when their count is at most this, else the
-# lexicographically first slice.  Keeps the equation count in check.
+# lexicographically first slice.  The derivation scan reads it (below 49,
+# run_uniqueness(16, 17) is no longer forced), and so does verify_assignment,
+# whose check then covers every generated row.  Generation reads
+# GENERATION_CAP: a few rows per n decide the system.
 REPRESENTATION_CAP = 64
+GENERATION_CAP = 4
 
 ELIMINANT_MAX_SUBSTITUTIONS = 6
 
@@ -231,17 +235,18 @@ def _check_arguments(k: int, bound: int) -> None:
 def generate_equations(k: int, bound: int, pf: PartialFunction) -> list[Equation]:
     """The k-additivity system for all n <= bound.
 
-    Per representation r of n: evaluate(pf, n) minus the sum of the part
-    values, an Equation with Additivity provenance.  Order is n ascending,
-    representations lexicographic.  Two representations of the same n imply
-    their part sums are equal; that cross content is not materialized here,
-    it falls out of elimination when the shared left side cancels.
+    Per representation r of n, of the first GENERATION_CAP: evaluate(pf, n)
+    minus the sum of the part values, an Equation with Additivity
+    provenance.  Order is n ascending, representations lexicographic.  Two
+    representations of the same n imply their part sums are equal; that
+    cross content is not materialized here, it falls out of elimination
+    when the shared left side cancels.
     """
     _check_arguments(k, bound)
     equations: list[Equation] = []
     squares: dict[int, Poly] = {}  # f(a^2) by part a; parts recur across n
     for n in range(1, bound + 1):
-        reps = enumerate_representations(n, k, REPRESENTATION_CAP)
+        reps = enumerate_representations(n, k, GENERATION_CAP)
         if not reps:
             continue
         left = pf.evaluate(n)
@@ -489,15 +494,8 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
     a substitution removes the symbol (a row that vanishes leaves them
     all), and joins the lists of the symbols it gains.  A row's symbol set,
     and whether it can be a source, are recorded as it enters, so no sweep
-    reads its terms again.
-
-    A later copy of a row is a spare of its first copy and never enters the
-    index: copies receive the same substitutions, so a substitution ticks
-    once per copy, and the first copy wins every tie.  When a row becomes a
-    source its spares would be substituted by the row itself and vanish;
-    at the cap each enters the index as an ordinary row instead, as in the
-    unmerged closure.  Substitutions tick ``counter``, by default a fresh
-    one at the ``EngineBudget()`` limit.
+    reads its terms again.  Substitutions tick ``counter``, by default a
+    fresh one at the ``EngineBudget()`` limit.
     """
     counter = counter or _Counter(EngineBudget().max_steps)
     work = _eliminate_work(state)
@@ -521,16 +519,8 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
             if sym not in best or idx < best[sym][0]:
                 best[sym] = (idx, poly)
 
-    spares: dict[int, list[int]] = {}  # first copy -> its later copies
-    firsts: dict[int, int] = {}  # hash of the terms -> the first row with it
     for idx, poly in enumerate(work):
-        # a hash: frozenset keys would keep every row's items alive at once
-        first = firsts.setdefault(hash(frozenset(poly.terms.items())), idx)
-        if first != idx and work[first].terms == poly.terms:
-            spares.setdefault(first, []).append(idx)
-        else:  # a first copy, or a row whose hash collides: a live row
-            enter(idx, poly)
-    del firsts
+        enter(idx, poly)
 
     sub_counts = [0] * len(work)
     substituted: set[int] = set()
@@ -550,20 +540,12 @@ def eliminate(state: BranchState, counter: Optional[_Counter] = None) -> Optiona
             row = work[source]
             for other in syms_of[source]:
                 occurs[other].discard(source)
-            copies = spares.pop(source, ())
-            if copies and sub_counts[source] < ELIMINANT_MAX_SUBSTITUTIONS:
-                # each copy is substituted by the row itself and vanishes
-                counter.tick("elimination", len(copies))
-            else:  # copies at the cap are never substituted: ordinary rows
-                for copy in copies:
-                    sub_counts[copy] = sub_counts[source]
-                    enter(copy, row)
             substituted.add(sym)
             changed = True
             for idx in sorted(occurs[sym]):
                 if sub_counts[idx] >= ELIMINANT_MAX_SUBSTITUTIONS:
                     continue
-                counter.tick("elimination", 1 + len(spares.get(idx, ())))
+                counter.tick("elimination")
                 sub_counts[idx] += 1
                 enter(idx, work[idx].substitute_poly(sym, row))
 
@@ -771,11 +753,13 @@ class VerificationReport:
 def verify_assignment(
     table: dict[int, Rational], k: int, bound: int
 ) -> VerificationReport:
-    """Substitute an explicit multiplicative f into every generated equation.
+    """Substitute an explicit multiplicative f into the additivity equations.
 
-    The table must cover all prime powers <= bound; the first violated
-    equation (n ascending, representations lexicographic) is reported with
-    its provenance.
+    Checks the first REPRESENTATION_CAP (64) representations of each
+    n <= bound, a superset of the rows generate_equations builds.  The
+    table must cover all prime powers <= bound; the first violated equation
+    (n ascending, representations lexicographic) is reported with its
+    provenance.
     """
     pf = PartialFunction.upto(bound)
     required = pf.unassigned_sites()

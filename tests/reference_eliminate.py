@@ -1,8 +1,11 @@
-"""Reference elimination: the closure without merged duplicate rows.
+"""Reference elimination: the closure in its plainest form.
 
-`eliminate_reference` is `sqadd.engine.eliminate` as it was before later
-copies of a row were merged into the first copy: every copy is a live row,
-substituted and ticked one at a time.  The substitution cap is read from
+`eliminate_reference` enters every row into the index, copies of a row
+included, and reads a row's symbols from its terms each time the row
+enters or leaves, where `sqadd.engine.eliminate` records each row's
+symbol set and whether it can be a source as it enters.  It is the closure
+as it was before `eliminate` merged copies of a row into their first copy,
+a path `eliminate` no longer has.  The substitution cap is read from
 `sqadd.engine`, so a test that patches it there patches both closures,
 and the signature follows `eliminate`'s (state, counter); the algorithm is
 unedited but for the eliminant degree cap, which both closures dropped.

@@ -370,6 +370,11 @@ class TestRunUniqueness:
         for table in (run_uniqueness(3, 60).outcome.table, search_nonidentity(2, 10, 5)):
             assert table and all(type(v) is Fraction for v in table.values())
 
+    # Generation reads GENERATION_CAP; the derivation scan keeps its own
+    # REPRESENTATION_CAP: with the scan's cap below 49, (16, 17) is not forced.
+    def test_derivation_scan_keeps_its_own_cap(self):
+        assert run_uniqueness(16, 17).kind == "forced"
+
     def test_forced_table_passes_model_check(self):
         verdict = run_uniqueness(4, 100)
         assert verdict.kind == "forced"
@@ -391,10 +396,10 @@ class TestRunUniqueness:
     @pytest.mark.parametrize(
         "run, steps",
         [
-            (lambda budget: run_uniqueness(3, 200, budget), 2533),
-            (lambda budget: run_uniqueness(4, 200, budget), 738),
-            (lambda budget: run_uniqueness(5, 120, budget), 4026),
-            (lambda budget: run_uniqueness(6, 140, budget), 9275),
+            (lambda budget: run_uniqueness(3, 200, budget), 2519),
+            (lambda budget: run_uniqueness(4, 200, budget), 602),
+            (lambda budget: run_uniqueness(5, 120, budget), 2809),
+            (lambda budget: run_uniqueness(6, 140, budget), 3683),
             (lambda budget: run_uniqueness(7, 42, budget), 2172),
             (lambda budget: search_nonidentity(2, 400, 20, budget), 4984),
         ],
@@ -613,6 +618,11 @@ class TestVerifyAssignment:
         for k in (2, 3, 6):
             report = verify_assignment(identity_table(300), k, 300)
             assert report.ok, k
+
+    # verify checks the first REPRESENTATION_CAP (64) representations of
+    # each n, more than the GENERATION_CAP rows the engine generates.
+    def test_checks_its_own_cap_of_representations(self):
+        assert verify_assignment(identity_table(140), 6, 140).checked == 912
 
     def test_first_violation_of_f3_equals_1(self):
         table = identity_table(30)

@@ -1,11 +1,12 @@
-"""Elimination with merged duplicate rows against the unmerged reference.
+"""Elimination on systems with copies of rows against the plain reference.
 
-`eliminate` keeps later copies of a row as spares of its first copy.  Each
-test runs it and `eliminate_reference` (the closure without merging) on the
-same system and requires the same eliminant and the same step total, and
-that a budget one step short stops both at the same step.  Low caps make
-sources reach `ELIMINANT_MAX_SUBSTITUTIONS`, where a copy survives its
-source and lives on as an ordinary row.
+Each test runs `eliminate` and `eliminate_reference` on the same system,
+random rows with 1-3 copies (possibly scaled) or a generated system, and
+requires the same eliminant and the same step total, and that a budget one
+step short stops both at the same step.  Both closures enter every copy
+as a live row.  Low caps make sources reach `ELIMINANT_MAX_SUBSTITUTIONS`.
+The hash-collision case is kept from when `eliminate` merged copies by a
+hash of their terms: two rows that hash alike must both stay live.
 """
 
 import random

@@ -4,7 +4,10 @@
 verdict kind of `run_uniqueness(k, N)`, the sha256 of its serialized trace
 and its step total: the final count of the run's `--max-steps` counter, the
 least `max_steps` the run fits in.  The file was written at commit def7ed9
-with `PYTHONPATH=src python tests/test_scan_golden.py > tests/scan_goldens.json`.
+with `PYTHONPATH=src python tests/test_scan_golden.py > tests/scan_goldens.json`
+and rewritten the same way on top of commit 255abbd, when generation moved
+to `GENERATION_CAP` rows per n: only 49 `steps` fields changed, as
+`scripts/diff_scan_goldens.py` shows against the earlier file.
 A change that only deletes redundant code must leave every entry as it is;
 unlike the few digests in `test_engine.py`, the scan also catches a change
 of step order that shows at one N only, such as renumbering
